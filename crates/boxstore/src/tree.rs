@@ -1,51 +1,67 @@
-//! The multilevel dyadic tree (paper Appendix C.1) — the binary
-//! [`BoxStore`] backend, and the differential oracle the radix backend
-//! (`boxtrie`) is checked against.
+//! The multilevel dyadic tree (paper Appendix C.1, Figure 16): the
+//! knowledge base every Tetris engine stores its boxes in.
+//!
+//! One binary trie per dimension, chained level to level through `next`
+//! links, all in a single arena of 16-byte-aligned node records. A node
+//! holds both child pointers plus a packed metadata word (bit 31 =
+//! terminal, bit 30 = cached λ-tail, low 30 bits = next-level id). The
+//! alignment guarantees a node never straddles a cache line, so every
+//! step of the hot walks — follow one bit, hop a `next` link, test
+//! terminal/λ — costs at most one memory access, which is the whole point
+//! at 10⁶-edge scale where the store runs to a hundred million nodes and
+//! every access is a miss.
+//!
+//! # The containment-order contract
+//!
+//! [`BoxTree::find_containing`] (and its tracked variant) returns the
+//! **first hit of the multilevel DFS**: stored prefixes are tried
+//! dimension by dimension in SAO order, shorter prefixes first. The
+//! parallel descent's overlay shards, the frontier repair and the
+//! differential walls all rely on this witness order.
 
-use crate::store::{
-    is_child_at, BoxStore, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP,
-};
+use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
-/// Sentinel for "no node".
+/// Sentinel for "no child".
 const NONE: u32 = u32::MAX;
 
-/// One node of one level's dyadic (binary) tree.
-///
-/// `children[b]` follows bit `b` of the current dimension's bitstring;
-/// `next` points at the root of the *next level's* tree for boxes whose
-/// current component ends at this node. At the last level `next == NONE`
-/// and `terminal` marks stored boxes.
-///
-/// `lam` caches the λ-tail fact — "a stored box ends its component at
-/// this node and is λ on every later dimension" — the question every
-/// frontier advance asks per surviving entry. It is maintained on
-/// insert (the only two mutations are insert and full clear, and clears
-/// reset every node), turning an up-to-`n`-hop pointer chase into one
-/// bit read on a line the advance already touches.
+/// Low 30 bits of the metadata word: the next-level link.
+const LINK_MASK: u32 = 0x3FFF_FFFF;
+
+/// "No next level" sentinel inside the link field.
+const NONE_LINK: u32 = LINK_MASK;
+
+/// Bit 31 of the metadata word: a box terminates here.
+const TERMINAL_BIT: u32 = 1 << 31;
+
+/// Bit 30 of the metadata word: a stored box ends through this node with
+/// `λ` components on every later dimension (the cached `lambda_tail`
+/// fact — set at insert, wiped wholesale by `clear`, never otherwise
+/// invalidated because those are the only two mutations).
+const LAMBDA_BIT: u32 = 1 << 30;
+
+/// One arena node: both child pointers and the packed metadata word,
+/// padded to 16 bytes so a node never straddles a cache line — every
+/// walk step (child follow, `next` hop, terminal/λ check) reads exactly
+/// one line.
 #[derive(Clone, Copy, Debug)]
+#[repr(align(16))]
 struct Node {
+    /// `children[bit]` follows `bit` of the current dimension.
     children: [u32; 2],
-    next: u32,
-    terminal: bool,
-    lam: bool,
+    /// Packed metadata: `TERMINAL_BIT | LAMBDA_BIT | next_link`.
+    meta: u32,
 }
 
-impl Node {
-    const EMPTY: Node = Node {
-        children: [NONE, NONE],
-        next: NONE,
-        terminal: false,
-        lam: false,
-    };
-}
+const EMPTY_NODE: Node = Node {
+    children: [NONE, NONE],
+    meta: NONE_LINK,
+};
 
 /// A set of `n`-dimensional dyadic boxes stored as a multilevel dyadic
-/// tree: one binary trie per dimension, chained through `next` pointers.
-///
-/// Supports insertion, exact-duplicate detection, and the containment
-/// queries Tetris needs. Nodes live in a single arena (`Vec`) addressed by
-/// `u32` ids — no per-node allocation, cheap to clear and reuse.
+/// tree: one binary trie per dimension, chained through `next` links,
+/// in a single 16-byte-per-node arena addressed by `u32` ids — no
+/// per-node allocation, cheap to clear and reuse.
 ///
 /// ```
 /// use boxstore::BoxTree;
@@ -60,6 +76,7 @@ impl Node {
 /// ```
 #[derive(Debug)]
 pub struct BoxTree {
+    /// The node arena, addressed by `u32` id.
     nodes: Vec<Node>,
     root: u32,
     n: usize,
@@ -80,7 +97,7 @@ pub struct BoxTree {
 /// prefix lengths chosen on the earlier dimensions (enough to rebuild the
 /// witness box on a later hit).
 #[derive(Clone, Copy, Debug)]
-pub struct BinaryEntry {
+pub(crate) struct TreeEntry {
     node: u32,
     lens: [u8; MAX_DIMS],
 }
@@ -94,17 +111,17 @@ impl BoxTree {
     /// An empty store with an explicit insert-ring length.
     pub fn with_tuning(n: usize, tuning: StoreTuning) -> Self {
         assert!(n >= 1, "boxes must have at least one dimension");
-        let mut nodes = Vec::with_capacity(1024);
-        nodes.push(Node::EMPTY); // level-0 root
-        BoxTree {
-            nodes,
+        let mut t = BoxTree {
+            nodes: Vec::with_capacity(1024),
             root: 0,
             n,
             len: 0,
             epoch: 0,
             log: InsertLog::new(tuning.insert_ring),
             cursor: InsertCursor::new(n, 0),
-        }
+        };
+        t.nodes.push(EMPTY_NODE); // level-0 root
+        t
     }
 
     /// Number of dimensions.
@@ -122,9 +139,35 @@ impl BoxTree {
         self.len == 0
     }
 
-    /// Number of arena nodes (memory diagnostic).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    /// The store's memory ledger: arena nodes, `size_of`-exact bytes
+    /// held by the arena, and the longest root-to-node link chain in
+    /// hops (the walk an adversarial full probe would pay). An O(nodes)
+    /// traversal — a diagnostic for profile reports, never called on the
+    /// hot path.
+    pub fn mem_stats(&self) -> obs::MemStats {
+        // Every node has exactly one parent link (child or `next`), so
+        // the arena is a tree rooted at `root` and one stack walk visits
+        // each node once.
+        let mut max_depth = 0u64;
+        let mut stack: Vec<(u32, u64)> = vec![(self.root, 0)];
+        while let Some((id, d)) = stack.pop() {
+            max_depth = max_depth.max(d);
+            let node = &self.nodes[id as usize];
+            for child in node.children {
+                if child != NONE {
+                    stack.push((child, d + 1));
+                }
+            }
+            let link = node.meta & LINK_MASK;
+            if link != NONE_LINK {
+                stack.push((link, d + 1));
+            }
+        }
+        obs::MemStats {
+            nodes: self.nodes.len() as u64,
+            bytes: (self.nodes.len() * std::mem::size_of::<Node>()) as u64,
+            max_depth,
+        }
     }
 
     /// The **coverage epoch**: a counter bumped every time the stored set
@@ -141,7 +184,7 @@ impl BoxTree {
     /// Remove all boxes, keeping allocated capacity.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.nodes.push(Node::EMPTY);
+        self.nodes.push(EMPTY_NODE);
         self.root = 0;
         self.len = 0;
         // A clear changes the stored set, so cached positive facts become
@@ -153,16 +196,30 @@ impl BoxTree {
         self.cursor.invalidate(self.root);
     }
 
+    #[inline]
+    fn next_of(&self, node: u32) -> u32 {
+        let link = self.nodes[node as usize].meta & LINK_MASK;
+        if link == NONE_LINK {
+            NONE
+        } else {
+            link
+        }
+    }
+
+    #[inline]
+    fn is_terminal(&self, node: u32) -> bool {
+        self.nodes[node as usize].meta & TERMINAL_BIT != 0
+    }
+
     fn alloc(&mut self) -> u32 {
-        // `NONE` (u32::MAX) is the no-child sentinel, so the id space is
-        // one short of u32; guard before allocating rather than silently
-        // truncating node ids on huge stores.
+        // The link field is 30 bits wide, so the id space tops out at
+        // NONE_LINK; guard rather than silently truncating ids.
         assert!(
-            self.nodes.len() < NONE as usize,
-            "BoxTree: node-id space (u32) exhausted"
+            self.nodes.len() < NONE_LINK as usize,
+            "BoxTree: node-id space (30 bits) exhausted"
         );
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node::EMPTY);
+        self.nodes.push(EMPTY_NODE);
         id
     }
 
@@ -197,10 +254,11 @@ impl BoxTree {
                 self.cursor.push(node);
             }
             if dim + 1 < self.n {
-                let next = self.nodes[node as usize].next;
+                let next = self.next_of(node);
                 node = if next == NONE {
                     let id = self.alloc();
-                    self.nodes[node as usize].next = id;
+                    self.nodes[node as usize].meta =
+                        (self.nodes[node as usize].meta & (TERMINAL_BIT | LAMBDA_BIT)) | id;
                     id
                 } else {
                     next
@@ -218,10 +276,10 @@ impl BoxTree {
             .unwrap_or(0);
         for i in t0..self.n {
             let e = self.cursor.end_node(i, b);
-            self.nodes[e as usize].lam = true;
+            self.nodes[e as usize].meta |= LAMBDA_BIT;
         }
-        let fresh = !self.nodes[node as usize].terminal;
-        self.nodes[node as usize].terminal = true;
+        let fresh = !self.is_terminal(node);
+        self.nodes[node as usize].meta |= TERMINAL_BIT;
         if fresh {
             self.len += 1;
             self.epoch += 1;
@@ -244,34 +302,9 @@ impl BoxTree {
                 assert_eq!(self.cursor.node_at(dim, k + 1), node, "cursor bit node");
             }
             if dim + 1 < self.n {
-                node = self.nodes[node as usize].next;
+                node = self.next_of(node);
             }
         }
-    }
-
-    /// Whether this exact box is stored.
-    pub fn contains_exact(&self, b: &DyadicBox) -> bool {
-        debug_assert_eq!(b.n(), self.n);
-        let mut node = self.root;
-        for dim in 0..self.n {
-            let iv = b.get(dim);
-            for k in 0..iv.len() {
-                let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-                let child = self.nodes[node as usize].children[bit];
-                if child == NONE {
-                    return false;
-                }
-                node = child;
-            }
-            if dim + 1 < self.n {
-                let next = self.nodes[node as usize].next;
-                if next == NONE {
-                    return false;
-                }
-                node = next;
-            }
-        }
-        self.nodes[node as usize].terminal
     }
 
     /// Find one stored box `a ⊇ b`, if any (Algorithm 1, line 1).
@@ -305,15 +338,15 @@ impl BoxTree {
         let mut node = root;
         let mut k = 0u8;
         loop {
-            let nd = self.nodes[node as usize];
+            let m = self.nodes[node as usize].meta;
             if last {
-                if nd.terminal {
+                if m & TERMINAL_BIT != 0 {
                     scratch.set(dim, iv.truncate(k));
                     return true;
                 }
-            } else if nd.next != NONE {
+            } else if m & LINK_MASK != NONE_LINK {
                 scratch.set(dim, iv.truncate(k));
-                if self.first_containing(nd.next, dim + 1, b, scratch) {
+                if self.first_containing(m & LINK_MASK, dim + 1, b, scratch) {
                     return true;
                 }
             }
@@ -321,7 +354,7 @@ impl BoxTree {
                 return false;
             }
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            let child = nd.children[bit];
+            let child = self.nodes[node as usize].children[bit];
             if child == NONE {
                 return false;
             }
@@ -355,7 +388,7 @@ impl BoxTree {
         &self,
         b: &DyadicBox,
         dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> Option<DyadicBox> {
         debug_assert_eq!(b.n(), self.n);
         debug_assert!(dim < self.n);
@@ -399,7 +432,7 @@ impl BoxTree {
         &self,
         b: &DyadicBox,
         dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> Option<DyadicBox> {
         let iv = b.get(dim);
         let bit = (iv.bits() & 1) as usize;
@@ -447,7 +480,7 @@ impl BoxTree {
         &self,
         b: &DyadicBox,
         dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
+        state: &mut DescentProbe,
     ) -> Option<DyadicBox> {
         let iv = b.get(dim);
         // Best candidate among the lagging inserts, keyed by DFS order —
@@ -511,7 +544,7 @@ impl BoxTree {
             let pos = state
                 .entries
                 .partition_point(|e| e.lens[..dim] <= lens[..dim]);
-            state.entries.insert(pos, BinaryEntry { node, lens });
+            state.entries.insert(pos, TreeEntry { node, lens });
         }
         state.mark = self.log.insert_count();
         state.len = iv.len();
@@ -535,7 +568,7 @@ impl BoxTree {
                 let bit = ((cv.bits() >> (cv.len() - 1 - k)) & 1) as usize;
                 node = self.nodes[node as usize].children[bit];
             }
-            node = self.nodes[node as usize].next;
+            node = self.next_of(node);
         }
         let iv = b.get(dim);
         for k in 0..iv.len() {
@@ -546,40 +579,35 @@ impl BoxTree {
     }
 
     /// Whether a box ends through `node` at level `dim` with `λ`
-    /// components on every later dimension — answered from the bit
-    /// maintained by [`BoxTree::insert`], checked against the chain walk
-    /// under debug assertions.
+    /// components on every later dimension — an O(1) flag read (the
+    /// chain walk survives as the debug oracle).
     fn lambda_tail(&self, node: u32, _dim: usize) -> bool {
-        let cached = self.nodes[node as usize].lam;
+        let cached = self.nodes[node as usize].meta & LAMBDA_BIT != 0;
         #[cfg(debug_assertions)]
         debug_assert_eq!(cached, self.lambda_tail_walk(node, _dim));
         cached
     }
 
-    /// The uncached λ-tail chain walk (debug oracle for the cached bit).
+    /// The uncached chain walk, kept as the oracle for the `LAMBDA_BIT`
+    /// maintenance in [`BoxTree::insert`].
     #[cfg(debug_assertions)]
     fn lambda_tail_walk(&self, node: u32, dim: usize) -> bool {
         let mut x = node;
         for d in dim..self.n {
-            let nd = self.nodes[x as usize];
+            let m = self.nodes[x as usize].meta;
             if d + 1 == self.n {
-                return nd.terminal;
+                return m & TERMINAL_BIT != 0;
             }
-            if nd.next == NONE {
+            if m & LINK_MASK == NONE_LINK {
                 return false;
             }
-            x = nd.next;
+            x = m & LINK_MASK;
         }
         unreachable!("loop returns at the last level")
     }
 
     /// Full walk that records the frontier for later advancing.
-    fn full_probe(
-        &self,
-        b: &DyadicBox,
-        dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
-    ) -> Option<DyadicBox> {
+    fn full_probe(&self, b: &DyadicBox, dim: usize, state: &mut DescentProbe) -> Option<DyadicBox> {
         state.entries.clear();
         let mut lens = [0u8; MAX_DIMS];
         let mut scratch = DyadicBox::universe(self.n);
@@ -615,7 +643,7 @@ impl BoxTree {
         dim: usize,
         lens: &mut [u8; MAX_DIMS],
         scratch: &mut DyadicBox,
-        entries: &mut Vec<BinaryEntry>,
+        entries: &mut Vec<TreeEntry>,
     ) -> bool {
         let iv = b.get(level);
         let last = level + 1 == self.n;
@@ -623,18 +651,18 @@ impl BoxTree {
         let mut k = 0u8;
         loop {
             if level == dim && k == iv.len() {
-                entries.push(BinaryEntry { node, lens: *lens });
+                entries.push(TreeEntry { node, lens: *lens });
             }
-            let nd = self.nodes[node as usize];
+            let m = self.nodes[node as usize].meta;
             if last {
-                if nd.terminal {
+                if m & TERMINAL_BIT != 0 {
                     scratch.set(level, iv.truncate(k));
                     return true;
                 }
-            } else if nd.next != NONE {
+            } else if m & LINK_MASK != NONE_LINK {
                 scratch.set(level, iv.truncate(k));
                 lens[level] = k;
-                if self.walk_record(nd.next, level + 1, b, dim, lens, scratch, entries) {
+                if self.walk_record(m & LINK_MASK, level + 1, b, dim, lens, scratch, entries) {
                     return true;
                 }
             }
@@ -642,7 +670,7 @@ impl BoxTree {
                 return false;
             }
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            let child = nd.children[bit];
+            let child = self.nodes[node as usize].children[bit];
             if child == NONE {
                 return false;
             }
@@ -666,10 +694,43 @@ impl BoxTree {
         debug_assert_eq!(b.n(), self.n);
         out.clear();
         let mut scratch = DyadicBox::universe(self.n);
-        self.walk_containing(self.root, 0, b, &mut scratch, &mut |bx| {
-            out.push(*bx);
-            false
-        });
+        self.walk_containing(self.root, 0, b, &mut scratch, out);
+    }
+
+    /// DFS over stored boxes whose every component is a prefix of `b`'s.
+    fn walk_containing(
+        &self,
+        root: u32,
+        dim: usize,
+        b: &DyadicBox,
+        scratch: &mut DyadicBox,
+        out: &mut Vec<DyadicBox>,
+    ) {
+        let iv = b.get(dim);
+        let last = dim + 1 == self.n;
+        let mut node = root;
+        // Visit every prefix of `iv` from λ down to `iv` itself.
+        for k in 0..=iv.len() {
+            let m = self.nodes[node as usize].meta;
+            if last {
+                if m & TERMINAL_BIT != 0 {
+                    scratch.set(dim, iv.truncate(k));
+                    out.push(*scratch);
+                }
+            } else if m & LINK_MASK != NONE_LINK {
+                scratch.set(dim, iv.truncate(k));
+                self.walk_containing(m & LINK_MASK, dim + 1, b, scratch, out);
+            }
+            if k == iv.len() {
+                break;
+            }
+            let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
+            let child = self.nodes[node as usize].children[bit];
+            if child == NONE {
+                break;
+            }
+            node = child;
+        }
     }
 
     /// Build a **shard** of this store: every stored box that intersects
@@ -711,18 +772,18 @@ impl BoxTree {
         scratch: &mut DyadicBox,
         visit: &mut impl FnMut(&DyadicBox),
     ) {
-        let nd = self.nodes[node as usize];
+        let m = self.nodes[node as usize].meta;
         // Any box whose component ends at `prefix` is prefix-comparable
         // with the target here by construction of the walk.
         if dim + 1 == self.n {
-            if nd.terminal {
+            if m & TERMINAL_BIT != 0 {
                 scratch.set(dim, prefix);
                 visit(scratch);
             }
-        } else if nd.next != NONE {
+        } else if m & LINK_MASK != NONE_LINK {
             scratch.set(dim, prefix);
             self.walk_intersecting(
-                nd.next,
+                m & LINK_MASK,
                 dim + 1,
                 target,
                 DyadicInterval::lambda(),
@@ -736,61 +797,19 @@ impl BoxTree {
             // comparable.
             let k = prefix.len();
             let bit = ((tv.bits() >> (tv.len() - 1 - k)) & 1) as u8;
-            let child = nd.children[bit as usize];
+            let child = self.nodes[node as usize].children[bit as usize];
             if child != NONE {
                 self.walk_intersecting(child, dim, target, prefix.child(bit), scratch, visit);
             }
         } else {
             // Past the target's component: every extension lies inside it.
             for bit in 0..2u8 {
-                let child = nd.children[bit as usize];
+                let child = self.nodes[node as usize].children[bit as usize];
                 if child != NONE {
                     self.walk_intersecting(child, dim, target, prefix.child(bit), scratch, visit);
                 }
             }
         }
-    }
-
-    /// DFS over stored boxes whose every component is a prefix of `b`'s.
-    /// `visit` returns `true` to stop the walk early.
-    fn walk_containing(
-        &self,
-        root: u32,
-        dim: usize,
-        b: &DyadicBox,
-        scratch: &mut DyadicBox,
-        visit: &mut dyn FnMut(&DyadicBox) -> bool,
-    ) -> bool {
-        let iv = b.get(dim);
-        let mut node = root;
-        // Visit every prefix of `iv` from λ down to `iv` itself.
-        for k in 0..=iv.len() {
-            let prefix = iv.truncate(k);
-            let nd = self.nodes[node as usize];
-            if dim + 1 == self.n {
-                if nd.terminal {
-                    scratch.set(dim, prefix);
-                    if visit(scratch) {
-                        return true;
-                    }
-                }
-            } else if nd.next != NONE {
-                scratch.set(dim, prefix);
-                if self.walk_containing(nd.next, dim + 1, b, scratch, visit) {
-                    return true;
-                }
-            }
-            if k == iv.len() {
-                break;
-            }
-            let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            let child = nd.children[bit];
-            if child == NONE {
-                break;
-            }
-            node = child;
-        }
-        false
     }
 
     /// Enumerate all stored boxes (in deterministic DFS order).
@@ -815,18 +834,24 @@ impl BoxTree {
         scratch: &mut DyadicBox,
         out: &mut Vec<DyadicBox>,
     ) {
-        let nd = self.nodes[node as usize];
+        let m = self.nodes[node as usize].meta;
         if dim + 1 == self.n {
-            if nd.terminal {
+            if m & TERMINAL_BIT != 0 {
                 scratch.set(dim, prefix);
                 out.push(*scratch);
             }
-        } else if nd.next != NONE {
+        } else if m & LINK_MASK != NONE_LINK {
             scratch.set(dim, prefix);
-            self.walk_all(nd.next, dim + 1, DyadicInterval::lambda(), scratch, out);
+            self.walk_all(
+                m & LINK_MASK,
+                dim + 1,
+                DyadicInterval::lambda(),
+                scratch,
+                out,
+            );
         }
         for bit in 0..2u8 {
-            let child = nd.children[bit as usize];
+            let child = self.nodes[node as usize].children[bit as usize];
             if child != NONE {
                 self.walk_all(child, dim, prefix.child(bit), scratch, out);
             }
@@ -834,111 +859,52 @@ impl BoxTree {
     }
 }
 
-impl BoxStore for BoxTree {
-    type Entry = BinaryEntry;
-
-    fn with_tuning(n: usize, tuning: StoreTuning) -> Self {
-        BoxTree::with_tuning(n, tuning)
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn mem_stats(&self) -> obs::MemStats {
-        // Every node has exactly one parent link (child or `next`), so
-        // the arena is a tree rooted at `root` and one stack walk visits
-        // each node once.
-        let mut max_depth = 0u64;
-        let mut stack: Vec<(u32, u64)> = vec![(self.root, 0)];
-        while let Some((id, d)) = stack.pop() {
-            max_depth = max_depth.max(d);
-            let node = &self.nodes[id as usize];
-            for link in [node.children[0], node.children[1], node.next] {
-                if link != NONE {
-                    stack.push((link, d + 1));
-                }
-            }
-        }
-        obs::MemStats {
-            nodes: self.nodes.len() as u64,
-            bytes: (self.nodes.len() * std::mem::size_of::<Node>()) as u64,
-            max_depth,
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn clear(&mut self) {
-        BoxTree::clear(self)
-    }
-
-    fn insert(&mut self, b: &DyadicBox) -> bool {
-        BoxTree::insert(self, b)
-    }
-
-    fn find_containing(&self, b: &DyadicBox) -> Option<DyadicBox> {
-        BoxTree::find_containing(self, b)
-    }
-
-    fn find_containing_tracked(
-        &self,
-        b: &DyadicBox,
-        dim: usize,
-        state: &mut DescentProbe<BinaryEntry>,
-    ) -> Option<DyadicBox> {
-        BoxTree::find_containing_tracked(self, b, dim, state)
-    }
-
-    fn extract_intersecting_into(&self, target: &DyadicBox, out: &mut Self) {
-        BoxTree::extract_intersecting_into(self, target, out)
-    }
-
-    fn iter_boxes(&self) -> Vec<DyadicBox> {
-        BoxTree::iter_boxes(self)
-    }
-}
-
-impl Extend<DyadicBox> for BoxTree {
-    fn extend<T: IntoIterator<Item = DyadicBox>>(&mut self, iter: T) {
-        for b in iter {
-            self.insert(&b);
-        }
-    }
-}
-
-impl FromIterator<DyadicBox> for BoxTree {
-    /// Builds a store from boxes; panics on an empty iterator (the
-    /// dimensionality cannot be inferred).
-    fn from_iter<T: IntoIterator<Item = DyadicBox>>(iter: T) -> Self {
-        let mut it = iter.into_iter().peekable();
-        let first = it
-            .peek()
-            .expect("cannot infer dimensionality from an empty iterator");
-        let mut tree = BoxTree::new(first.n());
-        tree.extend(it);
-        tree
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::FrontierStack;
-    use dyadic::Space;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn b(s: &str) -> DyadicBox {
         DyadicBox::parse(s).unwrap()
+    }
+
+    fn store(n: usize, boxes: &[DyadicBox]) -> BoxTree {
+        let mut t = BoxTree::new(n);
+        for bx in boxes {
+            t.insert(bx);
+        }
+        t
+    }
+
+    fn random_box(rng: &mut StdRng, n: usize, width: u8) -> DyadicBox {
+        let mut bx = DyadicBox::universe(n);
+        for i in 0..n {
+            let len = rng.gen_range(0..=width);
+            let bits = rng.gen_range(0..(1u64 << len));
+            bx.set(i, DyadicInterval::from_bits(bits, len));
+        }
+        bx
+    }
+
+    /// The reference the tree is checked against: the DFS-least stored
+    /// box containing `probe` — shortest prefix first, dimension by
+    /// dimension, which is the multilevel walk's visit order.
+    fn scan_first(stored: &[DyadicBox], probe: &DyadicBox) -> Option<DyadicBox> {
+        let n = probe.n();
+        stored
+            .iter()
+            .filter(|a| a.contains(probe))
+            .min_by_key(|a| crate::store::lens_key_of_box(a, n - 1))
+            .copied()
+    }
+
+    /// Distinct stored boxes in sorted order.
+    fn sorted_set(stored: &[DyadicBox]) -> Vec<DyadicBox> {
+        let mut v = stored.to_vec();
+        v.sort();
+        v.dedup();
+        v
     }
 
     #[test]
@@ -950,17 +916,16 @@ mod tests {
         assert!(t.insert(&b("10,001")));
         assert!(!t.insert(&b("10,1")), "duplicate insert must report false");
         assert_eq!(t.len(), 4);
-        assert!(t.contains_exact(&b("10,001")));
-        assert!(!t.contains_exact(&b("10,00")));
-        assert!(!t.contains_exact(&b("λ,λ")));
+        let all = t.iter_boxes();
+        assert!(all.contains(&b("10,001")));
+        assert!(!all.contains(&b("10,00")));
+        assert!(!all.contains(&b("λ,λ")));
     }
 
     #[test]
     fn figure_16_store() {
         // The boxes of Figure 16b: ⟨0,λ⟩, ⟨10,1⟩, ⟨10,0⟩, ⟨10,001⟩.
-        let t: BoxTree = [b("0,λ"), b("10,1"), b("10,0"), b("10,001")]
-            .into_iter()
-            .collect();
+        let t = store(2, &[b("0,λ"), b("10,1"), b("10,0"), b("10,001")]);
         let mut all = t.iter_boxes();
         all.sort();
         assert_eq!(all, vec![b("0,λ"), b("10,0"), b("10,001"), b("10,1")]);
@@ -995,53 +960,33 @@ mod tests {
         hits.sort();
         assert_eq!(
             hits,
-            vec![b("λ,λ"), b("0,λ"), b("00,λ"), b("00,0"), b("00,00")]
-                .into_iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect::<Vec<_>>()
+            sorted_set(&[b("λ,λ"), b("0,λ"), b("00,λ"), b("00,0"), b("00,00")])
         );
     }
 
     #[test]
     fn store_agrees_with_linear_scan_randomized() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let space = Space::uniform(3, 3);
-        let rand_box = |rng: &mut rand::rngs::StdRng| {
-            let mut bx = DyadicBox::universe(3);
-            for i in 0..3 {
-                let len = rng.gen_range(0..=3u8);
-                let bits = rng.gen_range(0..(1u64 << len));
-                bx.set(i, DyadicInterval::from_bits(bits, len));
-            }
-            bx
-        };
+        let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..30 {
             let stored: Vec<DyadicBox> = (0..rng.gen_range(1..40))
-                .map(|_| rand_box(&mut rng))
+                .map(|_| random_box(&mut rng, 3, 3))
                 .collect();
-            let tree: BoxTree = stored.iter().copied().collect();
+            let tree = store(3, &stored);
             for _ in 0..50 {
-                let probe = rand_box(&mut rng);
-                let expect: Vec<DyadicBox> = {
-                    let mut v: Vec<DyadicBox> = stored
+                let probe = random_box(&mut rng, 3, 3);
+                let expect: Vec<DyadicBox> = sorted_set(
+                    &stored
                         .iter()
                         .filter(|a| a.contains(&probe))
                         .copied()
-                        .collect();
-                    v.sort();
-                    v.dedup();
-                    v
-                };
+                        .collect::<Vec<_>>(),
+                );
                 let mut got = tree.all_containing(&probe);
                 got.sort();
-                got.dedup();
                 assert_eq!(got, expect, "probe {probe}");
                 assert_eq!(tree.covers(&probe), !expect.is_empty());
             }
         }
-        let _ = space;
     }
 
     #[test]
@@ -1057,38 +1002,24 @@ mod tests {
 
     #[test]
     fn extract_intersecting_builds_an_exact_shard() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let rand_iv = |rng: &mut rand::rngs::StdRng, max: u8| {
-            let len = rng.gen_range(0..=max);
-            DyadicInterval::from_bits(rng.gen_range(0..(1u64 << len)), len)
-        };
+        let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..40 {
             let stored: Vec<DyadicBox> = (0..rng.gen_range(1..40))
-                .map(|_| {
-                    let mut b = DyadicBox::universe(3);
-                    for i in 0..3 {
-                        b.set(i, rand_iv(&mut rng, 3));
-                    }
-                    b
-                })
+                .map(|_| random_box(&mut rng, 3, 3))
                 .collect();
-            let tree: BoxTree = stored.iter().copied().collect();
-            let mut target = DyadicBox::universe(3);
-            for i in 0..3 {
-                target.set(i, rand_iv(&mut rng, 3));
-            }
+            let tree = store(3, &stored);
+            let target = random_box(&mut rng, 3, 3);
             let mut shard = BoxTree::new(3);
             tree.extract_intersecting_into(&target, &mut shard);
             let mut got = shard.iter_boxes();
             got.sort();
-            let mut expect: Vec<DyadicBox> = stored
-                .iter()
-                .filter(|b| b.intersects(&target))
-                .copied()
-                .collect();
-            expect.sort();
-            expect.dedup();
+            let expect = sorted_set(
+                &stored
+                    .iter()
+                    .filter(|b| b.intersects(&target))
+                    .copied()
+                    .collect::<Vec<_>>(),
+            );
             assert_eq!(got, expect, "target {target}");
         }
     }
@@ -1100,24 +1031,11 @@ mod tests {
         // saved frontier: the repaired answers must be bit-identical to
         // fresh full walks, whichever candidate (old frontier or logged
         // insert) wins.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let rand_box = |rng: &mut rand::rngs::StdRng, max_dim_len: u8| {
-            let mut b = DyadicBox::universe(3);
-            for i in 0..3 {
-                let cap = if i == 0 { max_dim_len } else { 3 };
-                let len = rng.gen_range(0..=cap);
-                b.set(
-                    i,
-                    DyadicInterval::from_bits(rng.gen_range(0..(1u64 << len)), len),
-                );
-            }
-            b
-        };
+        let mut rng = StdRng::seed_from_u64(23);
         for trial in 0..200 {
             let mut tree = BoxTree::new(3);
             for _ in 0..rng.gen_range(0..15) {
-                tree.insert(&rand_box(&mut rng, 3));
+                tree.insert(&random_box(&mut rng, 3, 3));
             }
             // The probed parent: thick on dim 0 (λ after is not required
             // by the API, but mirrors the engine's frame shape).
@@ -1137,7 +1055,7 @@ mod tests {
             frontiers.push_saved(&probe);
             // Mutate the store.
             for _ in 0..rng.gen_range(0..8) {
-                tree.insert(&rand_box(&mut rng, 3));
+                tree.insert(&random_box(&mut rng, 3, 3));
             }
             for bit in 0..2u8 {
                 let child = parent.with(0, parent.get(0).child(bit));
@@ -1165,5 +1083,122 @@ mod tests {
         assert!(!t.covers(&b("00")));
         assert!(!t.covers(&b("0")));
         assert_eq!(t.iter_boxes().len(), 2);
+    }
+
+    #[test]
+    fn example_4_4_matches_linear_scan() {
+        let stored = [b("λ,0"), b("00,λ"), b("λ,11"), b("10,1")];
+        let t = store(2, &stored);
+        assert_eq!(t.len(), stored.len());
+        let mut all = t.iter_boxes();
+        all.sort();
+        assert_eq!(all, sorted_set(&stored));
+        for s in ["00,00", "10,11", "11,00", "01,10", "λ,λ"] {
+            assert_eq!(t.find_containing(&b(s)), scan_first(&stored, &b(s)), "{s}");
+        }
+    }
+
+    #[test]
+    fn differential_random_vs_linear_scan() {
+        // Mixed inserts/probes/clears/extracts: every observable answer
+        // must match a linear scan over the boxes inserted since the last
+        // clear — including the DFS-first witness. Seed printed on
+        // failure.
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=3);
+            let width = rng.gen_range(1..=4) as u8;
+            let mut t = BoxTree::new(n);
+            let mut stored: Vec<DyadicBox> = Vec::new();
+            let mut epoch = 0u64;
+            for step in 0..200 {
+                let ctx = format!("seed {seed} step {step} n={n} width={width}");
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let bx = random_box(&mut rng, n, width);
+                        let fresh = !stored.contains(&bx);
+                        assert_eq!(t.insert(&bx), fresh, "{ctx}: insert");
+                        if fresh {
+                            stored.push(bx);
+                            epoch += 1;
+                        }
+                    }
+                    5..=7 => {
+                        let bx = random_box(&mut rng, n, width);
+                        assert_eq!(
+                            t.find_containing(&bx),
+                            scan_first(&stored, &bx),
+                            "{ctx}: find_containing"
+                        );
+                    }
+                    8 => {
+                        let target = random_box(&mut rng, n, width);
+                        let mut shard = BoxTree::new(n);
+                        t.extract_intersecting_into(&target, &mut shard);
+                        let mut got = shard.iter_boxes();
+                        got.sort();
+                        let expect: Vec<DyadicBox> = stored
+                            .iter()
+                            .filter(|c| c.intersects(&target))
+                            .copied()
+                            .collect();
+                        assert_eq!(got, sorted_set(&expect), "{ctx}: extract");
+                    }
+                    _ => {
+                        if rng.gen_range(0..4) == 0 {
+                            t.clear();
+                            stored.clear();
+                            epoch += 1;
+                        }
+                        assert_eq!(t.len(), stored.len(), "{ctx}: len");
+                        assert_eq!(t.epoch(), epoch, "{ctx}: epoch");
+                    }
+                }
+            }
+            let mut all = t.iter_boxes();
+            all.sort();
+            assert_eq!(all, sorted_set(&stored), "seed {seed}: final set");
+        }
+    }
+
+    #[test]
+    fn tracked_probes_match_untracked() {
+        // Drive a synthetic parent→child probe chain with interleaved
+        // inserts so advances, summary-pruned repairs, scan repairs, and
+        // full walks all fire; every answer must equal find_containing.
+        for seed in 100..115u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 2usize;
+            let width = 4u8;
+            let mut t = BoxTree::new(n);
+            for _ in 0..rng.gen_range(0..12) {
+                t.insert(&random_box(&mut rng, n, width));
+            }
+            let mut probe = DescentProbe::new();
+            for trial in 0..40 {
+                let dim = rng.gen_range(0..n);
+                let mut target = random_box(&mut rng, n, width);
+                for i in dim + 1..n {
+                    target.set(i, DyadicInterval::lambda());
+                }
+                for k in 0..=target.get(dim).len() {
+                    let mut q = target;
+                    q.set(dim, target.get(dim).truncate(k));
+                    let got = t.find_containing_tracked(&q, dim, &mut probe);
+                    assert_eq!(
+                        got,
+                        t.find_containing(&q),
+                        "seed {seed} trial {trial} k={k}: tracked diverges"
+                    );
+                    if got.is_some() {
+                        break;
+                    }
+                    if rng.gen_range(0..3) == 0 {
+                        t.insert(&random_box(&mut rng, n, width));
+                    }
+                }
+            }
+            assert!(probe.advances + probe.repairs + probe.full_walks > 0);
+        }
     }
 }

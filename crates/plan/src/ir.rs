@@ -102,9 +102,9 @@ impl<'a> QueryPlanBuilder<'a> {
         self
     }
 
-    /// Set the execution config carried by the plan (backend, shards,
-    /// preload threads, descent mode). Defaults to a preloaded
-    /// single-threaded binary-backend run.
+    /// Set the execution config carried by the plan (preload, descent
+    /// mode, caching, observability). Defaults to a preloaded
+    /// single-threaded run.
     pub fn config(mut self, config: TetrisConfig) -> Self {
         self.config = config;
         self

@@ -3,9 +3,9 @@
 //! A [`PreparedQuery`] owns one trie index per atom (relations are
 //! copied in at prepare time), so it can outlive the relations it was
 //! planned against — the shape a resident join server needs. Execution
-//! goes through `tetris_core`'s single type-erased dispatcher
-//! ([`tetris_core::prepare_with_config`]), which is the only place the
-//! backend × sharding product is expanded.
+//! goes through [`tetris_core::prepare_with_config`], which builds the
+//! engine (and its preload) separately from the solve so both can be
+//! timed.
 
 use std::time::Instant;
 
@@ -81,14 +81,10 @@ impl PlanRun {
             ("sao", query.sao().join(",")),
             ("width", query.width.to_string()),
             ("input_tuples", query.input_size().to_string()),
-            ("backend", c.backend.to_string()),
             ("descent", descent_name(c.descent).to_string()),
             ("threads", threads.to_string()),
-            ("shards", c.shards.to_string()),
             ("preload", c.preload.to_string()),
             ("cache_resolvents", c.cache_resolvents.to_string()),
-            ("insert_ring", c.insert_ring.to_string()),
-            ("merge_cap", c.merge_cap.to_string()),
             ("obs", c.obs.to_string()),
             ("preload_s", format!("{:.6}", self.preload_s)),
             ("solve_s", format!("{:.6}", self.solve_s)),
@@ -396,7 +392,7 @@ mod tests {
         };
         assert_eq!(get("query"), join.name());
         assert_eq!(get("sao"), join.sao().join(","));
-        assert_eq!(get("backend"), cfg.backend.to_string());
+        assert_eq!(get("preload"), cfg.preload.to_string());
         assert_eq!(get("descent"), "incremental");
         assert_eq!(get("threads"), "1");
         assert_eq!(get("outputs"), run.output.stats.outputs.to_string());
