@@ -50,10 +50,7 @@ fn f2_tree_agm() {
             .build();
         let oracle = join.oracle();
         let cached = Tetris::preloaded(&oracle).run();
-        let uncached = Tetris::preloaded(&oracle)
-            .cache_resolvents(false)
-            .inline_outputs(true)
-            .run();
+        let uncached = Tetris::preloaded(&oracle).cache_resolvents(false).run();
         assert_eq!(cached.tuples.len(), uncached.tuples.len());
         let n = (inst.r.len() * 3) as f64;
         table.row(&[

@@ -13,16 +13,10 @@
 //! practice — the paper's `Õ(1)` (Proposition B.12 bounds the number of
 //! dyadic boxes containing a point by `dⁿ`).
 //!
-//! Because a [`BoxTree`] only grows between clears, it exposes a
-//! [`BoxTree::epoch`] counter, and [`CoverageMarks`] memoizes skeleton
-//! coverage queries against it: covered marks are sticky, negative marks
-//! expire with the epoch. The restart-driven engine uses this to stop
-//! re-walking the store on every restart.
-//!
-//! The incremental engines go further with **frame-saved frontiers**
-//! ([`FrontierStack`]): every failed containment probe records the tree
-//! positions it reached, the store keeps a rolling log of recent inserts,
-//! and a later probe for the target's *sibling* half
+//! The incremental engines avoid re-walking the store with **frame-saved
+//! frontiers** ([`FrontierStack`]): every failed containment probe
+//! records the tree positions it reached, the store keeps a rolling log
+//! of recent inserts, and a later probe for the target's *sibling* half
 //! advances the saved frontier and repairs it against the log instead of
 //! re-walking — the repaired answer is bit-identical to a fresh walk. For
 //! the parallel descent, [`BoxTree::extract_intersecting_into`] carves the
@@ -35,18 +29,16 @@
 #![warn(missing_docs)]
 
 pub mod coverage;
-mod epochs;
 mod oracle;
 mod store;
 mod tree;
 
-pub use epochs::{CoverProbe, CoverageMarks};
 pub use oracle::{BoxOracle, SetOracle};
 pub use store::{DescentProbe, FrontierStack, StoreTuning, DEFAULT_INSERT_RING, REPAIR_CAP};
 pub use tree::BoxTree;
 
-/// Checks of the contract the engines rely on across calls: epochs move
-/// exactly when the stored set grows or clears, clears invalidate saved
+/// Checks of the contract the engines rely on across calls: `insert`
+/// reports exactly the novel boxes, clears invalidate saved
 /// frontiers, and tracked probes — chained bit by bit or restored from a
 /// saved frontier after further inserts — answer exactly as a full walk
 /// and a linear scan do.
@@ -81,16 +73,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advances_on_novel_inserts_only() {
+    fn insert_reports_novel_boxes_only() {
         let mut t = BoxTree::new(2);
-        let e0 = t.epoch();
-        t.insert(&b("0,λ"));
-        let e1 = t.epoch();
-        assert!(e1 > e0);
-        t.insert(&b("0,λ"));
-        assert_eq!(t.epoch(), e1, "duplicate inserts must not move the epoch");
+        assert!(t.insert(&b("0,λ")), "a novel insert grows the set");
+        assert!(!t.insert(&b("0,λ")), "a duplicate insert is not novel");
+        assert_eq!(t.len(), 1);
         t.clear();
-        assert!(t.epoch() > e1, "clears must move the epoch");
+        assert!(t.insert(&b("0,λ")), "after a clear the box is novel again");
     }
 
     #[test]

@@ -81,7 +81,6 @@ pub struct BoxTree {
     root: u32,
     n: usize,
     len: usize,
-    epoch: u64,
     /// Rolling log of recent inserts + the monotone insert/clear counters
     /// probe state is keyed on. This is what lets a frontier saved
     /// *before* a handful of inserts be advanced+repaired instead of
@@ -116,7 +115,6 @@ impl BoxTree {
             root: 0,
             n,
             len: 0,
-            epoch: 0,
             log: InsertLog::new(tuning.insert_ring),
             cursor: InsertCursor::new(n, 0),
         };
@@ -170,26 +168,12 @@ impl BoxTree {
         }
     }
 
-    /// The **coverage epoch**: a counter bumped every time the stored set
-    /// actually changes (novel insert or [`BoxTree::clear`]). Because the
-    /// stored set only grows between clears, any *positive* containment
-    /// fact ("some stored box ⊇ `b`") observed at epoch `e` stays true at
-    /// every later epoch, while a *negative* fact is only valid while the
-    /// epoch is unchanged. [`crate::CoverageMarks`] builds on exactly this
-    /// contract to let callers skip re-walking the tree.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Remove all boxes, keeping allocated capacity.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.nodes.push(EMPTY_NODE);
         self.root = 0;
         self.len = 0;
-        // A clear changes the stored set, so cached positive facts become
-        // stale too; advancing the epoch keeps the monotonicity contract.
-        self.epoch += 1;
         // Saved frontiers hold node ids; a clear invalidates them all —
         // including the insert cursor's cached path.
         self.log.note_clear();
@@ -282,7 +266,6 @@ impl BoxTree {
         self.nodes[node as usize].meta |= TERMINAL_BIT;
         if fresh {
             self.len += 1;
-            self.epoch += 1;
             self.log.record(self.n, b);
         }
         fresh
@@ -1110,7 +1093,6 @@ mod tests {
             let width = rng.gen_range(1..=4) as u8;
             let mut t = BoxTree::new(n);
             let mut stored: Vec<DyadicBox> = Vec::new();
-            let mut epoch = 0u64;
             for step in 0..200 {
                 let ctx = format!("seed {seed} step {step} n={n} width={width}");
                 match rng.gen_range(0..10) {
@@ -1120,7 +1102,6 @@ mod tests {
                         assert_eq!(t.insert(&bx), fresh, "{ctx}: insert");
                         if fresh {
                             stored.push(bx);
-                            epoch += 1;
                         }
                     }
                     5..=7 => {
@@ -1148,10 +1129,8 @@ mod tests {
                         if rng.gen_range(0..4) == 0 {
                             t.clear();
                             stored.clear();
-                            epoch += 1;
                         }
                         assert_eq!(t.len(), stored.len(), "{ctx}: len");
-                        assert_eq!(t.epoch(), epoch, "{ctx}: epoch");
                     }
                 }
             }

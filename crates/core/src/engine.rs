@@ -12,12 +12,10 @@
 //! `TetrisSkeleton2` (Appendix D, footnote 13) made iterative — same
 //! outputs in the same order, strictly fewer restarts. The literal
 //! restart-driven loop is retained as [`Descent::Restart`] (the
-//! lower-bound reproductions need its re-treading behaviour), and
-//! [`Descent::RestartMemo`] shows how far coverage-epoch marks alone
-//! ([`boxstore::CoverageMarks`]) can repair it.
+//! lower-bound reproductions need its re-treading behaviour).
 
 use crate::{TetrisStats, TraceEvent};
-use boxstore::{BoxOracle, BoxTree, CoverProbe, CoverageMarks, DescentProbe, FrontierStack};
+use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 use obs::ObsSink;
 
@@ -33,14 +31,6 @@ pub enum Descent {
     /// lower-bound reproductions, whose measured re-treading depends on
     /// restarts actually re-deriving work.
     Restart,
-    /// [`Descent::Restart`], but re-descents consult
-    /// [`boxstore::CoverageMarks`]: covered subtrees short-circuit with
-    /// their recorded witness and unchanged-epoch negative probes skip
-    /// the knowledge-base walk. Requires resolvent caching (the marks
-    /// record facts backed by stored boxes); with
-    /// [`TetrisConfig::cache_resolvents`] off it behaves like
-    /// [`Descent::Restart`].
-    RestartMemo,
     /// [`Descent::Incremental`] spread over a work-stealing thread pool:
     /// pending right-sibling frames are donated to starving workers, each
     /// stolen subtree runs against the frozen pre-descent knowledge base
@@ -67,35 +57,17 @@ pub struct TetrisConfig {
     /// Resolution** (§5.1) — exponentially weaker on some inputs
     /// (Theorem 5.2), but still meets the AGM bound (Theorem 5.1).
     pub cache_resolvents: bool,
-    /// Report outputs *inside* the skeleton instead of restarting the
-    /// outer loop per tuple — the paper's `TetrisSkeleton2` (proof of
-    /// Theorem D.2, footnote 13). The incremental driver *is* that
-    /// skeleton, so this flag simply forces [`Descent::Incremental`]
-    /// regardless of [`TetrisConfig::descent`]; it is kept for paper
-    /// fidelity and for the Theorem 5.1 configuration (caching off).
-    pub inline_outputs: bool,
-    /// Descent strategy between knowledge-base changes.
+    /// Descent strategy between knowledge-base changes. The default,
+    /// [`Descent::Incremental`], reports outputs *inside* the skeleton —
+    /// the paper's `TetrisSkeleton2` (proof of Theorem D.2, footnote 13).
     pub descent: Descent,
     /// Record [`TraceEvent`]s through a bounded [`obs::FlightRecorder`]
-    /// ring. The ring keeps the most recent [`TetrisConfig::trace_capacity`]
-    /// accepted events and accounts for everything it evicts
-    /// (`TetrisStats::trace_recorded` / `trace_dropped`), so tracing is
-    /// safe at graph scale — no unbounded `Vec` growth.
+    /// ring. The ring keeps the most recent
+    /// [`obs::DEFAULT_TRACE_CAPACITY`] events and accounts for everything
+    /// it evicts (`TetrisStats::trace_recorded` / `trace_dropped`), so
+    /// tracing is safe at graph scale — no unbounded `Vec` growth. The
+    /// worked paper examples fit the ring without wrapping.
     pub trace: bool,
-    /// Flight-recorder ring capacity (default
-    /// [`obs::DEFAULT_TRACE_CAPACITY`]; must be positive). The worked
-    /// paper examples fit the default without wrapping, so their traces
-    /// are byte-identical to the old unbounded channel.
-    pub trace_capacity: usize,
-    /// Event-kind bitmask for the flight recorder (bit positions are the
-    /// [`TraceEvent::kind`] indices, default all kinds). A masked-out
-    /// event is never even constructed.
-    pub trace_kinds: u32,
-    /// Minimum descent-stack depth for a trace event to be recorded
-    /// (default 0 = everything). Raising the floor focuses the bounded
-    /// ring on the deep leaf-level region — exactly where the T1.1
-    /// re-resolution blowup lives (EXPERIMENTS.md §12–§13).
-    pub trace_depth_floor: u64,
     /// Collect an [`obs::Ledger`] of phase spans and power-of-two
     /// histograms (resolution depth, probe walk length, repair window,
     /// donated-shard size) alongside the counters. Off by default: with
@@ -111,12 +83,8 @@ impl Default for TetrisConfig {
         TetrisConfig {
             preload: false,
             cache_resolvents: true,
-            inline_outputs: false,
             descent: Descent::Incremental,
             trace: false,
-            trace_capacity: obs::DEFAULT_TRACE_CAPACITY,
-            trace_kinds: u32::MAX,
-            trace_depth_floor: 0,
             obs: false,
         }
     }
@@ -178,8 +146,8 @@ impl Frame {
         true
     }
 
-    /// Materialize the frame's target box (restart-memo bookkeeping and
-    /// frontier restores; the probe hot path never needs it).
+    /// Materialize the frame's target box (frontier restores only; the
+    /// probe hot path never needs it).
     pub(crate) fn target(&self, cur: &DyadicBox) -> DyadicBox {
         let dim = self.dim as usize;
         let mut t = *cur;
@@ -194,13 +162,9 @@ impl Frame {
 /// Build the bounded trace channel a config asks for (`None` when
 /// untraced — those runs allocate nothing for tracing).
 fn recorder_for(config: &TetrisConfig) -> Option<obs::FlightRecorder<TraceEvent>> {
-    config.trace.then(|| {
-        obs::FlightRecorder::with_policy(
-            config.trace_capacity,
-            config.trace_kinds,
-            config.trace_depth_floor,
-        )
-    })
+    config
+        .trace
+        .then(|| obs::FlightRecorder::new(obs::DEFAULT_TRACE_CAPACITY))
 }
 
 /// The dimension-0 navigation word of a box — the attribution ledger's
@@ -240,8 +204,6 @@ pub struct Tetris<'o, O: BoxOracle + ?Sized> {
     /// right-sibling descents restore these and advance+repair instead of
     /// re-walking the store.
     frontiers: FrontierStack,
-    /// Coverage-epoch memo ([`Descent::RestartMemo`] only).
-    marks: CoverageMarks,
     /// Observability ledger ([`TetrisConfig::obs`] only); the
     /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
     /// site a single branch when off.
@@ -266,7 +228,6 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             point: Vec::new(),
             probe: DescentProbe::new(),
             frontiers: FrontierStack::new(),
-            marks: CoverageMarks::new(),
             obs: config.obs.then(Box::default),
         };
         if config.preload {
@@ -303,13 +264,6 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// Enable/disable resolvent caching (builder style).
     pub fn cache_resolvents(mut self, yes: bool) -> Self {
         self.config.cache_resolvents = yes;
-        self
-    }
-
-    /// Enable/disable inline output reporting, the paper's
-    /// `TetrisSkeleton2` (builder style).
-    pub fn inline_outputs(mut self, yes: bool) -> Self {
-        self.config.inline_outputs = yes;
         self
     }
 
@@ -350,32 +304,18 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     }
 
     /// Trace only when enabled — the event is never even constructed on
-    /// untraced runs, or when the recorder's kind mask / depth floor
-    /// rejects it (hot-path allocation/copy discipline). `kind` is the
-    /// event's [`TraceEvent::kind`] index; the depth offered is the
-    /// current descent-stack height.
+    /// untraced runs (hot-path allocation/copy discipline).
     #[inline]
-    fn emit(&mut self, kind: u32, f: impl FnOnce() -> TraceEvent) {
+    fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(r) = &mut self.trace {
-            r.record(kind, self.stack.len() as u64, f);
+            r.record(f());
         }
     }
 
     /// Whether events tear the descent down (paper-literal Algorithm 2).
     #[inline]
     fn restarting(&self) -> bool {
-        !self.config.inline_outputs
-            && matches!(self.config.descent, Descent::Restart | Descent::RestartMemo)
-    }
-
-    /// Whether coverage-epoch marks are consulted. Marks record witnesses
-    /// that must live in the knowledge base, so they require resolvent
-    /// caching; Tree Ordered runs keep the pure re-treading semantics.
-    #[inline]
-    fn memoizing(&self) -> bool {
-        self.restarting()
-            && self.config.descent == Descent::RestartMemo
-            && self.config.cache_resolvents
+        self.config.descent == Descent::Restart
     }
 
     /// Algorithm 2: run to completion, collecting all output tuples.
@@ -447,8 +387,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         let universe = DyadicBox::universe(self.space.n());
         let mut cur = universe;
         // Frame-saved frontiers only pay off when frames persist across
-        // events; the restart modes tear the stack down anyway (and
-        // RestartMemo may skip probes entirely, leaving nothing to save).
+        // events; the restart mode tears the stack down anyway.
         let saving = !self.restarting();
         // Witness streaming: the latest resolvent rides here instead of
         // being inserted immediately. If the next resolution subsumes it
@@ -460,7 +399,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         // strictly DFS-earlier subsuming box (see DESIGN.md).
         let mut pending: Option<DyadicBox> = None;
         self.stats.restarts += 1;
-        self.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
+        self.emit(|| TraceEvent::Restart);
         'descend: loop {
             // ── descend: drill into `cur` until a covering witness is
             // known or an uncovered unit box is absorbed.
@@ -468,62 +407,32 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 self.stats.skeleton_calls += 1;
                 let thick = cur.first_thick_dim(&self.space);
                 let probe_dim = thick.unwrap_or(self.space.n() - 1);
-                let mut known_uncovered = false;
-                if self.memoizing() {
-                    match self.marks.probe(&cur, &self.space, self.kb.epoch()) {
-                        CoverProbe::Covered(w) => {
-                            self.stats.mark_hits += 1;
-                            self.emit(TraceEvent::KIND_COVERED, || TraceEvent::CoveredBy {
-                                target: cur,
-                                witness: w,
-                            });
-                            break w;
+                self.stats.kb_queries += 1;
+                let repairs_before = self.probe.repairs;
+                let hit = self
+                    .kb
+                    .find_containing_tracked(&cur, probe_dim, &mut self.probe);
+                if let Some(l) = &mut self.obs {
+                    l.observe_walk(self.probe.frontier_len() as u64);
+                    if self.probe.repairs > repairs_before {
+                        l.observe_repair(self.probe.last_repair_window);
+                        if self.probe.last_repair_hit {
+                            l.observe_repair_hit_at(nav0(&cur));
                         }
-                        CoverProbe::KnownUncovered => {
-                            self.stats.mark_hits += 1;
-                            known_uncovered = true;
-                        }
-                        CoverProbe::Unknown => {}
                     }
                 }
-                if !known_uncovered {
-                    self.stats.kb_queries += 1;
-                    let repairs_before = self.probe.repairs;
-                    let hit = self
-                        .kb
-                        .find_containing_tracked(&cur, probe_dim, &mut self.probe);
-                    if let Some(l) = &mut self.obs {
-                        l.observe_walk(self.probe.frontier_len() as u64);
-                        if self.probe.repairs > repairs_before {
-                            l.observe_repair(self.probe.last_repair_window);
-                            if self.probe.last_repair_hit {
-                                l.observe_repair_hit_at(nav0(&cur));
-                            }
-                        }
-                    }
-                    if let Some(a) = hit {
-                        debug_assert_eq!(self.kb.find_containing(&cur), Some(a));
-                        self.emit(TraceEvent::KIND_COVERED, || TraceEvent::CoveredBy {
-                            target: cur,
-                            witness: a,
-                        });
-                        if self.memoizing() {
-                            self.marks.mark_covered(&cur, &self.space, a);
-                        }
-                        break a;
-                    }
-                    debug_assert!(self.kb.find_containing(&cur).is_none());
-                    if self.memoizing() {
-                        let epoch = self.kb.epoch();
-                        self.marks.mark_uncovered(&cur, &self.space, epoch);
-                    }
+                if let Some(a) = hit {
+                    debug_assert_eq!(self.kb.find_containing(&cur), Some(a));
+                    self.emit(|| TraceEvent::CoveredBy {
+                        target: cur,
+                        witness: a,
+                    });
+                    break a;
                 }
+                debug_assert!(self.kb.find_containing(&cur).is_none());
                 if let Some(dim) = thick {
                     self.stats.splits += 1;
-                    self.emit(TraceEvent::KIND_SPLIT, || TraceEvent::Split {
-                        target: cur,
-                        dim,
-                    });
+                    self.emit(|| TraceEvent::Split { target: cur, dim });
                     let iv = cur.get(dim);
                     self.stack.push(Frame {
                         dim: dim as u8,
@@ -550,7 +459,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                         self.frontiers.clear();
                         cur = universe;
                         self.stats.restarts += 1;
-                        self.emit(TraceEvent::KIND_RESTART, || TraceEvent::Restart);
+                        self.emit(|| TraceEvent::Restart);
                         continue 'descend;
                     }
                 }
@@ -572,10 +481,6 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                     return; // the whole space is covered
                 };
                 if top.covered_by(&witness, &cur) {
-                    if self.memoizing() {
-                        let t = top.target(&cur);
-                        self.marks.mark_covered(&t, &self.space, witness);
-                    }
                     self.stack.pop();
                     if saving {
                         self.frontiers.pop();
@@ -623,7 +528,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                             l.observe_depth(self.stack.len() as u64);
                             l.observe_resolution_at(nav0(&w));
                         }
-                        self.emit(TraceEvent::KIND_RESOLVE, || TraceEvent::Resolve {
+                        self.emit(|| TraceEvent::Resolve {
                             w1,
                             w2: witness,
                             result: w,
@@ -666,14 +571,14 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     fn absorb(&mut self, cur: &DyadicBox, on_output: &mut impl FnMut(&[u64]) -> bool) -> Absorb {
         let restarting = self.restarting();
         if restarting {
-            self.emit(TraceEvent::KIND_UNCOVERED, || TraceEvent::Uncovered(*cur));
+            self.emit(|| TraceEvent::Uncovered(*cur));
         }
         self.stats.oracle_probes += 1;
         let mut hits = std::mem::take(&mut self.hits);
         self.oracle.boxes_containing_into(cur, &mut hits);
         let out = if hits.is_empty() {
             self.stats.outputs += 1;
-            self.emit(TraceEvent::KIND_OUTPUT, || TraceEvent::Output(*cur));
+            self.emit(|| TraceEvent::Output(*cur));
             let mut point = std::mem::take(&mut self.point);
             cur.write_point(&self.space, &mut point);
             let stop = on_output(&point);
@@ -693,10 +598,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             }
         } else {
             let count = hits.len();
-            self.emit(TraceEvent::KIND_LOAD, || TraceEvent::Load {
-                probe: *cur,
-                count,
-            });
+            self.emit(|| TraceEvent::Load { probe: *cur, count });
             for h in &hits {
                 debug_assert!(h.contains(cur), "oracle returned a non-covering box");
                 if self.kb.insert(h) {
@@ -940,7 +842,7 @@ mod tests {
             let boxes = random_instance(&mut rng, n, d, count);
             let expect = coverage::uncovered_points(&boxes, &space);
             let oracle = SetOracle::new(space, boxes);
-            for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
+            for descent in [Descent::Incremental, Descent::Restart] {
                 for preload in [false, true] {
                     let out = Tetris::with_config(
                         &oracle,
@@ -973,39 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_memo_cuts_kb_queries_not_outputs() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for trial in 0..15 {
-            let n = rng.gen_range(2..=3);
-            let d = rng.gen_range(2..=3u8);
-            let space = Space::uniform(n, d);
-            let count = rng.gen_range(1..15);
-            let boxes = random_instance(&mut rng, n, d, count);
-            let oracle = SetOracle::new(space, boxes);
-            let plain = Tetris::reloaded(&oracle).descent(Descent::Restart).run();
-            let memo = Tetris::reloaded(&oracle)
-                .descent(Descent::RestartMemo)
-                .run();
-            assert_eq!(plain.tuples, memo.tuples, "trial {trial}");
-            assert_eq!(plain.stats.restarts, memo.stats.restarts);
-            assert_eq!(plain.stats.skeleton_calls, memo.stats.skeleton_calls);
-            assert!(
-                memo.stats.kb_queries <= plain.stats.kb_queries,
-                "trial {trial}: memo {} > plain {}",
-                memo.stats.kb_queries,
-                plain.stats.kb_queries
-            );
-            assert_eq!(
-                memo.stats.kb_queries + memo.stats.mark_hits,
-                plain.stats.kb_queries,
-                "trial {trial}: every probe is either walked or memo-answered"
-            );
-            assert_eq!(plain.stats.mark_hits, 0);
-        }
-    }
-
-    #[test]
     fn untraced_runs_record_no_events_and_allocate_no_trace() {
         let oracle = example_4_4_oracle();
         let out = Tetris::reloaded(&oracle).run();
@@ -1022,99 +891,28 @@ mod tests {
     }
 
     #[test]
-    fn tiny_trace_capacity_keeps_the_tail_and_counts_drops() {
-        let oracle = example_4_4_oracle();
-        // Reference: an unbounded-enough ring holds every event.
-        let full = Tetris::reloaded(&oracle).traced().run();
-        let total = full.trace.len() as u64;
-        assert_eq!(full.stats.trace_recorded, total);
-        assert_eq!(full.stats.trace_dropped, 0);
-        // A tiny ring wraps: it keeps exactly the most recent `cap`
-        // events and accounts for every eviction.
-        for cap in [1usize, 2, 4, 7] {
-            let out = Tetris::with_config(
-                &oracle,
-                TetrisConfig {
-                    trace: true,
-                    trace_capacity: cap,
-                    ..Default::default()
-                },
-            )
-            .run();
-            let kept = (total as usize).min(cap);
-            assert_eq!(out.trace.len(), kept, "cap {cap}");
-            assert_eq!(out.stats.trace_recorded, total, "cap {cap}");
-            assert_eq!(out.stats.trace_dropped, total - kept as u64, "cap {cap}");
-            // The survivors are the *tail* of the full event stream, in
-            // order — a flight recorder keeps the most recent history.
-            assert_eq!(
-                out.trace,
-                full.trace[full.trace.len() - kept..],
-                "cap {cap}"
-            );
-        }
-    }
-
-    #[test]
-    fn trace_kind_mask_and_depth_floor_filter_without_counting_drops() {
-        let oracle = example_4_4_oracle();
-        let full = Tetris::reloaded(&oracle).traced().run();
-        let resolves = full
-            .trace
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Resolve { .. }))
-            .count() as u64;
-        assert!(resolves > 0);
-        // Mask down to Resolve events only: filtered events are never
-        // constructed, never recorded, and never counted as drops.
-        let masked = Tetris::with_config(
-            &oracle,
-            TetrisConfig {
-                trace: true,
-                trace_kinds: 1 << TraceEvent::KIND_RESOLVE,
-                ..Default::default()
-            },
-        )
-        .run();
-        assert!(masked
-            .trace
-            .iter()
-            .all(|e| matches!(e, TraceEvent::Resolve { .. })));
-        assert_eq!(masked.stats.trace_recorded, resolves);
-        assert_eq!(masked.stats.trace_dropped, 0);
-        // A depth floor above the whole run records nothing; stats stay
-        // identical to the untraced run apart from the recorder fields.
-        let floored = Tetris::with_config(
-            &oracle,
-            TetrisConfig {
-                trace: true,
-                trace_depth_floor: 64,
-                ..Default::default()
-            },
-        )
-        .run();
-        assert!(floored.trace.is_empty());
-        assert_eq!(floored.stats.trace_recorded, 0);
-        // Floor 1 drops exactly the depth-0 events (the restarts and any
-        // top-of-stack steps) while keeping the deep resolution region.
-        let floor1 = Tetris::with_config(
-            &oracle,
-            TetrisConfig {
-                trace: true,
-                trace_depth_floor: 1,
-                ..Default::default()
-            },
-        )
-        .run();
-        assert!(!floor1
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Restart)));
-        assert!(floor1.stats.trace_recorded < full.stats.trace_recorded);
-        assert!(floor1
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Resolve { .. })));
+    fn default_trace_ring_keeps_the_tail_and_counts_drops() {
+        // An empty box set outputs all 2^16 points of a 2×8-bit space,
+        // so the trace (splits, outputs and resolutions) wraps the ring:
+        // it keeps exactly the most recent events and accounts for every
+        // eviction.
+        let space = Space::uniform(2, 8);
+        let oracle = SetOracle::new(space, Vec::<DyadicBox>::new());
+        let out = Tetris::reloaded(&oracle).traced().run();
+        assert_eq!(out.stats.outputs, 1 << 16);
+        assert_eq!(out.trace.len(), obs::DEFAULT_TRACE_CAPACITY);
+        assert!(out.stats.trace_dropped > 0);
+        assert_eq!(
+            out.stats.trace_recorded - out.stats.trace_dropped,
+            out.trace.len() as u64
+        );
+        // The survivors are the *tail* of the run: its final event is the
+        // resolution that covers the universe.
+        let universe = DyadicBox::universe(2);
+        assert!(matches!(
+            out.trace.last(),
+            Some(TraceEvent::Resolve { result, .. }) if *result == universe
+        ));
     }
 
     #[test]
@@ -1134,6 +932,9 @@ mod tests {
 
     #[test]
     fn inline_mode_matches_outer_loop() {
+        // The incremental driver reports outputs inside the skeleton
+        // (`TetrisSkeleton2`); the restart driver is Algorithm 2's outer
+        // loop. Both must list the same tuples.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(123);
         for _ in 0..25 {
@@ -1143,23 +944,14 @@ mod tests {
             let count = rng.gen_range(0..20);
             let boxes = random_instance(&mut rng, n, d, count);
             let oracle = SetOracle::new(space, boxes);
-            let outer = Tetris::reloaded(&oracle).run();
-            let inline = Tetris::reloaded(&oracle).inline_outputs(true).run();
+            let outer = Tetris::reloaded(&oracle).descent(Descent::Restart).run();
+            let inline = Tetris::reloaded(&oracle).run();
             assert_eq!(outer.tuples, inline.tuples);
-            // Inline mode never restarts (and forces the incremental
-            // driver even under a restart descent).
+            // Inline mode never restarts.
             assert_eq!(inline.stats.restarts, 1);
-            let forced = Tetris::reloaded(&oracle)
-                .inline_outputs(true)
-                .descent(Descent::Restart)
-                .run();
-            assert_eq!(forced.stats.restarts, 1);
-            assert_eq!(outer.tuples, forced.tuples);
             // Also with caching disabled (Tree Ordered + Skeleton2).
-            let tree = Tetris::reloaded(&oracle)
-                .inline_outputs(true)
-                .cache_resolvents(false)
-                .run();
+            let tree = Tetris::reloaded(&oracle).cache_resolvents(false).run();
+            assert_eq!(tree.stats.restarts, 1);
             assert_eq!(outer.tuples, tree.tuples);
         }
     }

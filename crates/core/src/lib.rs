@@ -24,9 +24,8 @@
 //! persistent stack of half-box frames absorbs output/load events in
 //! place instead of restarting from the universe (see [`Descent`]). The
 //! paper-literal restart loop remains available as [`Descent::Restart`]
-//! (the Section 5 re-treading measurements depend on it), and
-//! [`Descent::RestartMemo`] layers `boxstore`'s coverage-epoch marks on
-//! top of it. [`Descent::Parallel`] spreads the same descent over a
+//! (the Section 5 re-treading measurements depend on it).
+//! [`Descent::Parallel`] spreads the same descent over a
 //! work-stealing thread pool (the `executor` crate): pending sibling
 //! frames are donated to starving workers against per-task overlay stores,
 //! and the output tuple sequence stays bit-identical to the sequential

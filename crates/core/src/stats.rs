@@ -21,9 +21,6 @@ pub struct TetrisStats {
     /// Knowledge-base containment queries (Algorithm 1 line 1) that
     /// actually walked the store.
     pub kb_queries: u64,
-    /// Skeleton probes answered by coverage-epoch marks instead of a
-    /// knowledge-base walk (`Descent::RestartMemo` only).
-    pub mark_hits: u64,
     /// Knowledge-base probes answered by advancing the previous probe's
     /// recorded frontier by one bit (store unchanged since the frontier
     /// was recorded) instead of re-walking the store.
@@ -101,7 +98,6 @@ impl TetrisStats {
         self.splits += other.splits;
         self.skeleton_calls += other.skeleton_calls;
         self.kb_queries += other.kb_queries;
-        self.mark_hits += other.mark_hits;
         self.probe_advances += other.probe_advances;
         self.probe_repairs += other.probe_repairs;
         self.probe_repair_fasts += other.probe_repair_fasts;

@@ -50,39 +50,6 @@ pub enum TraceEvent {
     Output(DyadicBox),
 }
 
-impl TraceEvent {
-    /// Kind index of [`TraceEvent::Restart`] (flight-recorder mask bit).
-    pub const KIND_RESTART: u32 = 0;
-    /// Kind index of [`TraceEvent::CoveredBy`].
-    pub const KIND_COVERED: u32 = 1;
-    /// Kind index of [`TraceEvent::Split`].
-    pub const KIND_SPLIT: u32 = 2;
-    /// Kind index of [`TraceEvent::Uncovered`].
-    pub const KIND_UNCOVERED: u32 = 3;
-    /// Kind index of [`TraceEvent::Resolve`].
-    pub const KIND_RESOLVE: u32 = 4;
-    /// Kind index of [`TraceEvent::Load`].
-    pub const KIND_LOAD: u32 = 5;
-    /// Kind index of [`TraceEvent::Output`].
-    pub const KIND_OUTPUT: u32 = 6;
-    /// Mask with every kind bit set (the flight recorder's default).
-    pub const KIND_MASK_ALL: u32 = (1 << 7) - 1;
-
-    /// This event's kind index — its bit position in a flight-recorder
-    /// kind mask ([`crate::TetrisConfig::trace_kinds`]).
-    pub fn kind(&self) -> u32 {
-        match self {
-            TraceEvent::Restart => Self::KIND_RESTART,
-            TraceEvent::CoveredBy { .. } => Self::KIND_COVERED,
-            TraceEvent::Split { .. } => Self::KIND_SPLIT,
-            TraceEvent::Uncovered(_) => Self::KIND_UNCOVERED,
-            TraceEvent::Resolve { .. } => Self::KIND_RESOLVE,
-            TraceEvent::Load { .. } => Self::KIND_LOAD,
-            TraceEvent::Output(_) => Self::KIND_OUTPUT,
-        }
-    }
-}
-
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -25,9 +25,8 @@
 //!   (millions) with no configuration.
 //! * The [`FlightRecorder`] is generic over its event type (this crate
 //!   sits below the crate that defines the engine's trace events): a
-//!   fixed-capacity ring that keeps the **most recent** accepted events,
-//!   filters by an event-kind bitmask and a descent-depth floor, and
-//!   accounts for everything it rejects or evicts.
+//!   fixed-capacity ring that keeps the **most recent** events and
+//!   accounts for everything it evicts.
 //!
 //! The serialized surface (the `*_hist` and `attr` cells of profile
 //! rows, parsed back by `bench_compare --check-profile`) is the
@@ -426,13 +425,7 @@ impl AttributionLedger {
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// A bounded flight recorder: a fixed-capacity ring that keeps the most
-/// recent accepted events.
-///
-/// Events are offered with an event **kind** (a small integer, bit
-/// position in the kind mask) and the descent **depth** they occurred
-/// at. An event is *filtered* (constructor closure never runs) when its
-/// kind bit is off in the mask or its depth is below the floor; an
-/// accepted event may later be *dropped* (evicted) when the ring wraps.
+/// recent events. An event is *dropped* (evicted) when the ring wraps;
 /// `recorded = len + dropped` always holds, so a consumer can tell
 /// exactly how much of the run it is looking at.
 ///
@@ -442,50 +435,32 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 pub struct FlightRecorder<E> {
     buf: std::collections::VecDeque<E>,
     cap: usize,
-    kind_mask: u32,
-    depth_floor: u64,
     recorded: u64,
     dropped: u64,
-    filtered: u64,
 }
 
 impl<E> FlightRecorder<E> {
-    /// A recorder of `cap` events accepting every kind at every depth.
+    /// A recorder of `cap` events.
     pub fn new(cap: usize) -> Self {
-        Self::with_policy(cap, u32::MAX, 0)
-    }
-
-    /// A recorder of `cap` events accepting only kinds whose bit is set
-    /// in `kind_mask`, at depths `≥ depth_floor`.
-    pub fn with_policy(cap: usize, kind_mask: u32, depth_floor: u64) -> Self {
         assert!(cap > 0, "flight recorder capacity must be positive");
         FlightRecorder {
             buf: std::collections::VecDeque::with_capacity(cap),
             cap,
-            kind_mask,
-            depth_floor,
             recorded: 0,
             dropped: 0,
-            filtered: 0,
         }
     }
 
-    /// Offer one event. The closure is only invoked when the event
-    /// passes the kind mask and depth floor; returns whether it did.
-    /// On a full ring the oldest event is evicted and counted dropped.
+    /// Record one event. On a full ring the oldest event is evicted and
+    /// counted dropped.
     #[inline]
-    pub fn record(&mut self, kind: u32, depth: u64, ev: impl FnOnce() -> E) -> bool {
-        if (self.kind_mask >> kind.min(31)) & 1 == 0 || depth < self.depth_floor {
-            self.filtered += 1;
-            return false;
-        }
+    pub fn record(&mut self, ev: E) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(ev());
+        self.buf.push_back(ev);
         self.recorded += 1;
-        true
     }
 
     /// The fixed ring capacity.
@@ -503,19 +478,14 @@ impl<E> FlightRecorder<E> {
         self.buf.is_empty()
     }
 
-    /// Total events accepted over the run (held + dropped).
+    /// Total events recorded over the run (held + dropped).
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
 
-    /// Accepted events later evicted by ring wrap-around.
+    /// Recorded events later evicted by ring wrap-around.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Events rejected by the kind mask or depth floor (never built).
-    pub fn filtered(&self) -> u64 {
-        self.filtered
     }
 
     /// Iterate the held events, oldest first.
@@ -1086,39 +1056,13 @@ mod tests {
     fn flight_recorder_keeps_the_tail_and_counts_drops() {
         let mut r: FlightRecorder<u64> = FlightRecorder::new(3);
         for i in 0..7u64 {
-            assert!(r.record(0, 0, || i));
+            r.record(i);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.recorded(), 7);
         assert_eq!(r.dropped(), 4);
-        assert_eq!(r.filtered(), 0);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![4, 5, 6]);
         assert_eq!(r.drain(), vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn flight_recorder_mask_and_floor_filter_without_building() {
-        let mut built = 0u32;
-        let mut r: FlightRecorder<u32> = FlightRecorder::with_policy(8, 0b10, 2);
-        // Wrong kind: rejected, constructor never runs.
-        assert!(!r.record(0, 5, || {
-            built += 1;
-            0
-        }));
-        // Right kind, below the depth floor: rejected.
-        assert!(!r.record(1, 1, || {
-            built += 1;
-            0
-        }));
-        // Right kind at the floor: accepted.
-        assert!(r.record(1, 2, || {
-            built += 1;
-            7
-        }));
-        assert_eq!(built, 1);
-        assert_eq!(r.filtered(), 2);
-        assert_eq!(r.recorded(), 1);
-        assert_eq!(r.drain(), vec![7]);
     }
 
     #[test]

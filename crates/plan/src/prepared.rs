@@ -57,7 +57,6 @@ pub fn descent_name(d: tetris_core::Descent) -> &'static str {
     match d {
         tetris_core::Descent::Incremental => "incremental",
         tetris_core::Descent::Restart => "restart",
-        tetris_core::Descent::RestartMemo => "restart-memo",
         tetris_core::Descent::Parallel { .. } => "parallel",
     }
 }
@@ -70,9 +69,17 @@ impl PlanRun {
     /// (generator name, seed, sizes) and serialize; every value is
     /// plain text so the record round-trips through any row format.
     pub fn provenance(&self, query: &PreparedQuery) -> Vec<(&'static str, String)> {
-        let c = &self.config;
+        // Exhaustive on purpose: a new config field fails to compile here
+        // until the record carries it.
+        let TetrisConfig {
+            preload,
+            cache_resolvents,
+            descent,
+            trace,
+            obs,
+        } = self.config;
         let s = &self.output.stats;
-        let threads = match c.descent {
+        let threads = match descent {
             tetris_core::Descent::Parallel { threads } => threads,
             _ => 1,
         };
@@ -81,11 +88,12 @@ impl PlanRun {
             ("sao", query.sao().join(",")),
             ("width", query.width.to_string()),
             ("input_tuples", query.input_size().to_string()),
-            ("descent", descent_name(c.descent).to_string()),
+            ("descent", descent_name(descent).to_string()),
             ("threads", threads.to_string()),
-            ("preload", c.preload.to_string()),
-            ("cache_resolvents", c.cache_resolvents.to_string()),
-            ("obs", c.obs.to_string()),
+            ("preload", preload.to_string()),
+            ("cache_resolvents", cache_resolvents.to_string()),
+            ("trace", trace.to_string()),
+            ("obs", obs.to_string()),
             ("preload_s", format!("{:.6}", self.preload_s)),
             ("solve_s", format!("{:.6}", self.solve_s)),
             ("resolutions", s.resolutions.to_string()),
@@ -392,9 +400,22 @@ mod tests {
         };
         assert_eq!(get("query"), join.name());
         assert_eq!(get("sao"), join.sao().join(","));
-        assert_eq!(get("preload"), cfg.preload.to_string());
+        // Every config field is recorded (the destructuring below breaks
+        // the build when a field is added, like the one in `provenance`).
+        let TetrisConfig {
+            preload,
+            cache_resolvents,
+            descent,
+            trace,
+            obs,
+        } = cfg;
+        assert_eq!(get("preload"), preload.to_string());
+        assert_eq!(get("cache_resolvents"), cache_resolvents.to_string());
+        assert_eq!(get("descent"), descent_name(descent));
         assert_eq!(get("descent"), "incremental");
         assert_eq!(get("threads"), "1");
+        assert_eq!(get("trace"), trace.to_string());
+        assert_eq!(get("obs"), obs.to_string());
         assert_eq!(get("outputs"), run.output.stats.outputs.to_string());
         assert_eq!(get("resolutions"), run.output.stats.resolutions.to_string());
         // The attribution CSV round-trips through the obs parser and

@@ -1,6 +1,6 @@
 //! Differential test wall around the engine: every configuration of the
-//! [`Tetris`] solver — preloaded/reloaded × resolvent caching ×
-//! inline outputs × all three descent strategies — must produce the exact
+//! [`Tetris`] solver — preloaded/reloaded × resolvent caching × the
+//! incremental and restart descents — must produce the exact
 //! brute-force BCP output on randomized instances over randomized spaces
 //! (dimension counts up to `MAX_DIMS`, mixed per-dimension widths), and
 //! the join pipeline must agree with `baseline::brute` on randomized
@@ -61,26 +61,20 @@ fn run_all_variants(oracle: &SetOracle) -> Vec<(String, Vec<Vec<u64>>, u64, u64)
     let mut out = Vec::new();
     for preload in [false, true] {
         for cache_resolvents in [true, false] {
-            for inline_outputs in [false, true] {
-                for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
-                    let cfg = TetrisConfig {
-                        preload,
-                        cache_resolvents,
-                        inline_outputs,
-                        descent,
-                        ..Default::default()
-                    };
-                    let r = Tetris::with_config(oracle, cfg).run();
-                    out.push((
-                        format!(
-                            "preload={preload} cache={cache_resolvents} \
-                             inline={inline_outputs} descent={descent:?}"
-                        ),
-                        r.tuples,
-                        r.stats.outputs,
-                        r.stats.restarts,
-                    ));
-                }
+            for descent in [Descent::Incremental, Descent::Restart] {
+                let cfg = TetrisConfig {
+                    preload,
+                    cache_resolvents,
+                    descent,
+                    ..Default::default()
+                };
+                let r = Tetris::with_config(oracle, cfg).run();
+                out.push((
+                    format!("preload={preload} cache={cache_resolvents} descent={descent:?}"),
+                    r.tuples,
+                    r.stats.outputs,
+                    r.stats.restarts,
+                ));
             }
         }
     }
@@ -111,7 +105,7 @@ fn every_engine_variant_matches_brute_force_on_random_spaces() {
             );
             // The incremental driver never restarts; restart drivers
             // restart at most once per oracle event.
-            if label.contains("Incremental") || label.contains("inline=true") {
+            if label.contains("Incremental") {
                 assert_eq!(restarts, 1, "seed {seed}: variant [{label}]");
             }
         }
@@ -127,7 +121,7 @@ fn check_cover_agrees_with_run_on_random_spaces() {
         let boxes: Vec<DyadicBox> = (0..count).map(|_| random_box(&mut rng, &space)).collect();
         let covered_ref = coverage::covers_everything(&boxes, &space);
         let oracle = SetOracle::new(space, boxes);
-        for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
+        for descent in [Descent::Incremental, Descent::Restart] {
             let (covered, stats) = Tetris::reloaded(&oracle).descent(descent).check_cover();
             assert_eq!(
                 covered,
@@ -195,7 +189,6 @@ fn parallel_descent_matches_sequential_on_random_spaces() {
                     let cfg = TetrisConfig {
                         preload,
                         cache_resolvents,
-                        inline_outputs: false,
                         descent: Descent::Parallel { threads },
                         ..Default::default()
                     };
@@ -350,16 +343,15 @@ fn join_pipeline_matches_baseline_brute_on_random_queries() {
             .atom("T", &t, &["A", "C"]);
         let expect = brute_force_join(&spec);
         let oracle = join.oracle();
-        for descent in [Descent::Incremental, Descent::Restart, Descent::RestartMemo] {
+        for descent in [Descent::Incremental, Descent::Restart] {
             for (label, engine) in [
                 ("reloaded", Tetris::reloaded(&oracle).descent(descent)),
                 ("preloaded", Tetris::preloaded(&oracle).descent(descent)),
                 (
-                    "uncached-inline",
+                    "uncached",
                     Tetris::reloaded(&oracle)
                         .descent(descent)
-                        .cache_resolvents(false)
-                        .inline_outputs(true),
+                        .cache_resolvents(false),
                 ),
             ] {
                 let got = join.reorder_to(&["A", "B", "C"], &engine.run().tuples);

@@ -5,7 +5,7 @@
 use boxstore::{coverage, SetOracle};
 use dyadic::{DyadicBox, DyadicInterval, Space};
 use proptest::prelude::*;
-use tetris_join::tetris::{balance::TetrisLB, Tetris};
+use tetris_join::tetris::{balance::TetrisLB, Descent, Tetris};
 
 /// Strategy: a dyadic interval in a `d`-bit domain.
 fn interval(d: u8) -> impl Strategy<Value = DyadicInterval> {
@@ -58,17 +58,19 @@ proptest! {
         prop_assert_eq!(out.tuples, expect);
     }
 
-    /// Inline (TetrisSkeleton2) and no-caching modes agree with the
-    /// default engine.
+    /// The outer-loop restart driver (Algorithm 2) and the no-caching
+    /// mode agree with the default in-skeleton (TetrisSkeleton2) engine.
     #[test]
     fn engine_modes_agree(boxes in bcp_instance(2, 3, 14)) {
         let space = Space::uniform(2, 3);
         let oracle = SetOracle::new(space, boxes);
         let a = Tetris::reloaded(&oracle).run().tuples;
-        let b = Tetris::reloaded(&oracle).inline_outputs(true).run().tuples;
+        let b = Tetris::reloaded(&oracle)
+            .descent(Descent::Restart)
+            .run()
+            .tuples;
         let c = Tetris::preloaded(&oracle)
             .cache_resolvents(false)
-            .inline_outputs(true)
             .run()
             .tuples;
         prop_assert_eq!(&a, &b);

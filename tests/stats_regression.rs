@@ -100,15 +100,6 @@ fn example_4_4_counters_are_pinned() {
         (6, 5, 9, 8, 2, 4, 52),
     );
 
-    let memo = Tetris::reloaded(&oracle)
-        .descent(Descent::RestartMemo)
-        .run();
-    assert_pin(
-        "ex4.4 reloaded restart-memo",
-        &memo.stats,
-        (6, 5, 9, 8, 2, 4, 42),
-    );
-    assert_eq!(memo.stats.mark_hits, 10, "ex4.4 memo mark hits");
     // Witness streaming (PR 6): 5 of the old 14 resolvent inserts are
     // subsumed by the next resolvent and never materialized — the skips
     // plus the surviving inserts must account for every old insert, and
@@ -121,16 +112,10 @@ fn example_4_4_counters_are_pinned() {
         "ex4.4: skips + inserts must equal the pre-streaming insert count"
     );
 
-    // Structural direction: same outputs, fewer (or equal) restarts, and
-    // the memo answers exactly the queries the plain restart walks.
+    // Structural direction: same outputs, fewer (or equal) restarts.
     assert_eq!(inc.tuples, restart.tuples);
-    assert_eq!(inc.tuples, memo.tuples);
     assert_eq!(inc.tuples, pre.tuples);
     assert!(inc.stats.restarts < restart.stats.restarts);
-    assert_eq!(
-        memo.stats.kb_queries + memo.stats.mark_hits,
-        restart.stats.kb_queries
-    );
 }
 
 #[test]
@@ -266,7 +251,7 @@ fn obs_histograms_are_pinned() {
 ///
 /// **Floating (may vary run-to-run and with the thread count):**
 /// `resolutions`, `splits`, `skeleton_calls`, `kb_queries`,
-/// `kb_inserts`, `oracle_probes`, `loaded_boxes`, `mark_hits`,
+/// `kb_inserts`, `oracle_probes`, `loaded_boxes`,
 /// `probe_advances`, `probe_repairs`, `probe_full_walks`, `par_tasks`,
 /// `par_donations`. A donated subtree resolves against a shard that
 /// lacks the donor's later discoveries (more resolutions), a cancelled

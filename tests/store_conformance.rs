@@ -17,7 +17,6 @@
 //!   here).
 //! * **Exact shards** — `extract_intersecting_into` must produce
 //!   exactly the stored boxes intersecting the target.
-//! * **Monotone epochs** — content changes advance the epoch.
 //!
 //! Every assertion message carries the `(seed, ring, step)` tuple, so a
 //! failure is reproducible with a one-line filter.
@@ -38,7 +37,6 @@ const STEPS_PER_SEED: usize = 300;
 #[derive(Debug, Default)]
 struct NaiveStore {
     boxes: Vec<DyadicBox>,
-    epoch_bumps: u64,
 }
 
 impl NaiveStore {
@@ -47,14 +45,10 @@ impl NaiveStore {
             return false;
         }
         self.boxes.push(*b);
-        self.epoch_bumps += 1;
         true
     }
 
     fn clear(&mut self) {
-        if !self.boxes.is_empty() {
-            self.epoch_bumps += 1;
-        }
         self.boxes.clear();
     }
 
@@ -119,7 +113,6 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
     // One long-lived probe state: clears and unrelated-target probes in
     // between must be survivable (the store detects staleness itself).
     let mut probe = DescentProbe::new();
-    let mut last_epoch = store.epoch();
 
     for step in 0..STEPS_PER_SEED {
         let ctx = || format!("seed={seed} ring={ring} step={step} n={n} width={width}");
@@ -196,9 +189,6 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
                 );
             }
         }
-        let epoch = store.epoch();
-        assert!(epoch >= last_epoch, "{}: epoch must be monotone", ctx());
-        last_epoch = epoch;
     }
     assert_eq!(
         sorted_boxes(&store),
