@@ -451,12 +451,16 @@ fn check_profile(rows: &[Row]) -> Result<String, String> {
                 fail("parallel row reports no task spans".to_string());
             }
         }
-        // The memory ledger: present, and bytes can't undercut one byte
-        // per node (profile rows are preloaded, so the store is nonempty).
+        // The memory ledger: present, and every node is an 8-byte
+        // last-level or a 16-byte inner record, so bytes lie in
+        // [8·nodes, 16·nodes] (profile rows are preloaded, so the store
+        // is nonempty).
         match (num("mem_nodes"), num("mem_bytes")) {
-            (Some(nodes), Some(bytes)) if nodes >= 1.0 && bytes >= nodes => {}
+            (Some(nodes), Some(bytes))
+                if nodes >= 1.0 && 8.0 * nodes <= bytes && bytes <= 16.0 * nodes => {}
             (Some(nodes), Some(bytes)) => fail(format!(
-                "memory ledger implausible: nodes={nodes} bytes={bytes}"
+                "memory ledger implausible: nodes={nodes} bytes={bytes} \
+                 outside [8·nodes, 16·nodes]"
             )),
             _ => fail("missing mem_nodes/mem_bytes columns".to_string()),
         }
@@ -981,6 +985,19 @@ mod tests {
         let err = check_profile(&bad).unwrap_err();
         assert!(err.contains("outside [kb_queries"), "{err}");
         assert!(err.contains("no task spans"), "{err}");
+    }
+
+    #[test]
+    fn check_profile_bounds_bytes_per_node() {
+        // 10 nodes hold between 80 and 160 bytes: 79 undercuts an 8-byte
+        // record per node, 161 overshoots a 16-byte one.
+        for bytes in [79, 161] {
+            let bad = rows(&format!(
+                r#"{{"experiment":"t2-profile","graph":"skewed","threads":1,"N":300000,"resolutions":4,"kb_queries":8,"advances":5,"repairs":2,"full_walks":1,"donations":0,"depth_hist":"0,1,3","walk_hist":"4,2,2","repair_hist":"0,2","donate_hist":0,"mem_nodes":10,"mem_bytes":{bytes}}}"#
+            ));
+            let err = check_profile(&bad).unwrap_err();
+            assert!(err.contains("memory ledger implausible"), "{err}");
+        }
     }
 
     #[test]

@@ -2,14 +2,24 @@
 //! knowledge base every Tetris engine stores its boxes in.
 //!
 //! One binary trie per dimension, chained level to level through `next`
-//! links, all in a single arena of 16-byte-aligned node records. A node
-//! holds both child pointers plus a packed metadata word (bit 31 =
-//! terminal, bit 30 = cached λ-tail, low 30 bits = next-level id). The
-//! alignment guarantees a node never straddles a cache line, so every
-//! step of the hot walks — follow one bit, hop a `next` link, test
-//! terminal/λ — costs at most one memory access, which is the whole point
-//! at 10⁶-edge scale where the store runs to a hundred million nodes and
-//! every access is a miss.
+//! links. The nodes live in two arenas split by level:
+//!
+//! * **inner levels** (dimensions `0..n−1`) use 16-byte-aligned records:
+//!   both child ids plus a metadata word (bit 31 = cached λ-tail, low 31
+//!   bits = next-level id);
+//! * **the last level** (dimension `n−1`) uses 8-byte records: both child
+//!   ids, with the terminal flag in the top bit of the first. A last-level
+//!   node has no next level to link to, and its λ-tail fact ("a box ends
+//!   here with λ on every later dimension") is exactly its terminal flag,
+//!   so it needs no metadata word. Most nodes of a large store sit on the
+//!   last level, which is why the split cuts the store by about a third.
+//!
+//! Neither record straddles a cache line, so every step of the hot walks —
+//! follow one bit, hop a `next` link, test terminal/λ — costs at most one
+//! memory access, which is the whole point at 10⁶-edge scale where the
+//! store runs to a hundred million nodes and every access is a miss. Every
+//! walk knows the dimension it is on, and so which arena a `u32` id
+//! addresses; ids are never compared across levels.
 //!
 //! # The containment-order contract
 //!
@@ -22,45 +32,69 @@
 use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
-/// Sentinel for "no child".
-const NONE: u32 = u32::MAX;
+/// Sentinel for "no child" and "no next level", shared by both arenas.
+/// It is also the 31-bit id mask, so reading a last-level child (whose
+/// top bit may carry the terminal flag) costs one AND.
+const NONE: u32 = 0x7FFF_FFFF;
 
-/// Low 30 bits of the metadata word: the next-level link.
-const LINK_MASK: u32 = 0x3FFF_FFFF;
+/// Bit 31 of an inner node's metadata word: a stored box ends through
+/// this node with `λ` components on every later dimension (the cached
+/// `lambda_tail` fact — set at insert, wiped wholesale by `clear`, never
+/// otherwise invalidated because those are the only two mutations).
+const LAMBDA_BIT: u32 = 1 << 31;
 
-/// "No next level" sentinel inside the link field.
-const NONE_LINK: u32 = LINK_MASK;
-
-/// Bit 31 of the metadata word: a box terminates here.
+/// Bit 31 of a last-level node's first child word: a box terminates here.
 const TERMINAL_BIT: u32 = 1 << 31;
 
-/// Bit 30 of the metadata word: a stored box ends through this node with
-/// `λ` components on every later dimension (the cached `lambda_tail`
-/// fact — set at insert, wiped wholesale by `clear`, never otherwise
-/// invalidated because those are the only two mutations).
-const LAMBDA_BIT: u32 = 1 << 30;
-
-/// One arena node: both child pointers and the packed metadata word,
+/// An inner-level node: both child ids and the packed metadata word,
 /// padded to 16 bytes so a node never straddles a cache line — every
-/// walk step (child follow, `next` hop, terminal/λ check) reads exactly
-/// one line.
+/// walk step (child follow, `next` hop, λ check) reads exactly one line.
 #[derive(Clone, Copy, Debug)]
 #[repr(align(16))]
-struct Node {
+struct Inner {
     /// `children[bit]` follows `bit` of the current dimension.
     children: [u32; 2],
-    /// Packed metadata: `TERMINAL_BIT | LAMBDA_BIT | next_link`.
+    /// Packed metadata: `LAMBDA_BIT | next_link` (`NONE` = no link).
     meta: u32,
 }
 
-const EMPTY_NODE: Node = Node {
+/// A last-level node: both child ids, the first one carrying
+/// `TERMINAL_BIT`. Aligned to its 8-byte size so it never straddles a
+/// cache line either.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(8))]
+struct Leaf {
+    children: [u32; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<Inner>() == 16 && std::mem::align_of::<Inner>() == 16);
+const _: () = assert!(std::mem::size_of::<Leaf>() == 8);
+
+const EMPTY_INNER: Inner = Inner {
     children: [NONE, NONE],
-    meta: NONE_LINK,
+    meta: NONE,
 };
+
+const EMPTY_LEAF: Leaf = Leaf {
+    children: [NONE, NONE],
+};
+
+impl Leaf {
+    #[inline]
+    fn child(&self, bit: usize) -> u32 {
+        self.children[bit] & NONE
+    }
+
+    #[inline]
+    fn is_terminal(&self) -> bool {
+        self.children[0] & TERMINAL_BIT != 0
+    }
+}
 
 /// A set of `n`-dimensional dyadic boxes stored as a multilevel dyadic
 /// tree: one binary trie per dimension, chained through `next` links,
-/// in a single 16-byte-per-node arena addressed by `u32` ids — no
+/// in two arenas addressed by `u32` ids — 16-byte records for the inner
+/// levels, 8-byte records for the last level (see the module docs). No
 /// per-node allocation, cheap to clear and reuse.
 ///
 /// ```
@@ -76,8 +110,11 @@ const EMPTY_NODE: Node = Node {
 /// ```
 #[derive(Debug)]
 pub struct BoxTree {
-    /// The node arena, addressed by `u32` id.
-    nodes: Vec<Node>,
+    /// Nodes of dimensions `0..n−1`, addressed by `u32` id.
+    inner: Vec<Inner>,
+    /// Nodes of dimension `n−1`, addressed by `u32` id.
+    leaves: Vec<Leaf>,
+    /// Id 0 of the level-0 arena: `inner` when `n > 1`, else `leaves`.
     root: u32,
     n: usize,
     len: usize,
@@ -111,15 +148,25 @@ impl BoxTree {
     pub fn with_tuning(n: usize, tuning: StoreTuning) -> Self {
         assert!(n >= 1, "boxes must have at least one dimension");
         let mut t = BoxTree {
-            nodes: Vec::with_capacity(1024),
+            inner: Vec::with_capacity(1024),
+            leaves: Vec::with_capacity(1024),
             root: 0,
             n,
             len: 0,
             log: InsertLog::new(tuning.insert_ring),
             cursor: InsertCursor::new(n, 0),
         };
-        t.nodes.push(EMPTY_NODE); // level-0 root
+        t.push_root();
         t
+    }
+
+    /// Allocate the level-0 root as id 0 of its (empty) arena.
+    fn push_root(&mut self) {
+        if self.n > 1 {
+            self.inner.push(EMPTY_INNER);
+        } else {
+            self.leaves.push(EMPTY_LEAF);
+        }
     }
 
     /// Number of dimensions.
@@ -137,42 +184,45 @@ impl BoxTree {
         self.len == 0
     }
 
-    /// The store's memory ledger: arena nodes, `size_of`-exact bytes
-    /// held by the arena, and the longest root-to-node link chain in
-    /// hops (the walk an adversarial full probe would pay). An O(nodes)
-    /// traversal — a diagnostic for profile reports, never called on the
-    /// hot path.
+    /// The store's memory ledger: nodes of both arenas, `size_of`-exact
+    /// bytes held by them (16 per inner node, 8 per last-level node), and
+    /// the longest root-to-node link chain in hops (the walk an
+    /// adversarial full probe would pay). An O(nodes) traversal — a
+    /// diagnostic for profile reports, never called on the hot path.
     pub fn mem_stats(&self) -> obs::MemStats {
         // Every node has exactly one parent link (child or `next`), so
-        // the arena is a tree rooted at `root` and one stack walk visits
-        // each node once.
+        // the arenas form a tree rooted at `root` and one stack walk
+        // visits each node once.
         let mut max_depth = 0u64;
-        let mut stack: Vec<(u32, u64)> = vec![(self.root, 0)];
-        while let Some((id, d)) = stack.pop() {
+        let mut stack: Vec<(u32, usize, u64)> = vec![(self.root, 0, 0)];
+        while let Some((id, dim, d)) = stack.pop() {
             max_depth = max_depth.max(d);
-            let node = &self.nodes[id as usize];
-            for child in node.children {
+            for bit in 0..2 {
+                let child = self.child(dim, id, bit);
                 if child != NONE {
-                    stack.push((child, d + 1));
+                    stack.push((child, dim, d + 1));
                 }
             }
-            let link = node.meta & LINK_MASK;
-            if link != NONE_LINK {
-                stack.push((link, d + 1));
+            if dim + 1 < self.n {
+                let link = self.next_of(id);
+                if link != NONE {
+                    stack.push((link, dim + 1, d + 1));
+                }
             }
         }
         obs::MemStats {
-            nodes: self.nodes.len() as u64,
-            bytes: (self.nodes.len() * std::mem::size_of::<Node>()) as u64,
+            nodes: (self.inner.len() + self.leaves.len()) as u64,
+            bytes: (self.inner.len() * std::mem::size_of::<Inner>()
+                + self.leaves.len() * std::mem::size_of::<Leaf>()) as u64,
             max_depth,
         }
     }
 
     /// Remove all boxes, keeping allocated capacity.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.nodes.push(EMPTY_NODE);
-        self.root = 0;
+        self.inner.clear();
+        self.leaves.clear();
+        self.push_root();
         self.len = 0;
         // Saved frontiers hold node ids; a clear invalidates them all —
         // including the insert cursor's cached path.
@@ -180,30 +230,41 @@ impl BoxTree {
         self.cursor.invalidate(self.root);
     }
 
+    /// Child `bit` of `node` on dimension `dim`'s trie, or `NONE`.
     #[inline]
-    fn next_of(&self, node: u32) -> u32 {
-        let link = self.nodes[node as usize].meta & LINK_MASK;
-        if link == NONE_LINK {
-            NONE
+    fn child(&self, dim: usize, node: u32, bit: usize) -> u32 {
+        if dim + 1 == self.n {
+            self.leaves[node as usize].child(bit)
         } else {
-            link
+            self.inner[node as usize].children[bit]
         }
     }
 
+    /// The next-level root linked from inner `node`, or `NONE`.
     #[inline]
-    fn is_terminal(&self, node: u32) -> bool {
-        self.nodes[node as usize].meta & TERMINAL_BIT != 0
+    fn next_of(&self, node: u32) -> u32 {
+        self.inner[node as usize].meta & NONE
     }
 
-    fn alloc(&mut self) -> u32 {
-        // The link field is 30 bits wide, so the id space tops out at
-        // NONE_LINK; guard rather than silently truncating ids.
+    fn alloc_inner(&mut self) -> u32 {
+        // Ids are 31 bits wide, so each arena tops out at NONE; guard
+        // rather than silently truncating ids.
         assert!(
-            self.nodes.len() < NONE_LINK as usize,
-            "BoxTree: node-id space (30 bits) exhausted"
+            self.inner.len() < NONE as usize,
+            "BoxTree: inner node-id space (31 bits) exhausted"
         );
-        let id = self.nodes.len() as u32;
-        self.nodes.push(EMPTY_NODE);
+        let id = self.inner.len() as u32;
+        self.inner.push(EMPTY_INNER);
+        id
+    }
+
+    fn alloc_leaf(&mut self) -> u32 {
+        assert!(
+            self.leaves.len() < NONE as usize,
+            "BoxTree: last-level node-id space (31 bits) exhausted"
+        );
+        let id = self.leaves.len() as u32;
+        self.leaves.push(EMPTY_LEAF);
         id
     }
 
@@ -219,51 +280,70 @@ impl BoxTree {
     /// If the box has the wrong dimensionality.
     pub fn insert(&mut self, b: &DyadicBox) -> bool {
         assert_eq!(b.n(), self.n, "box dimensionality mismatch");
+        let last = self.n - 1;
         let (start_dim, start_len) = self.cursor.resume_point(b);
         let mut node = self.cursor.node_at(start_dim, start_len);
         self.cursor.begin(b, start_dim, start_len);
-        for dim in start_dim..self.n {
+        for dim in start_dim..last {
             let iv = b.get(dim);
             let from = if dim == start_dim { start_len } else { 0 };
             for k in from..iv.len() {
                 let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-                let child = self.nodes[node as usize].children[bit];
+                let child = self.inner[node as usize].children[bit];
                 node = if child == NONE {
-                    let id = self.alloc();
-                    self.nodes[node as usize].children[bit] = id;
+                    let id = self.alloc_inner();
+                    self.inner[node as usize].children[bit] = id;
                     id
                 } else {
                     child
                 };
                 self.cursor.push(node);
             }
-            if dim + 1 < self.n {
-                let next = self.next_of(node);
-                node = if next == NONE {
-                    let id = self.alloc();
-                    self.nodes[node as usize].meta =
-                        (self.nodes[node as usize].meta & (TERMINAL_BIT | LAMBDA_BIT)) | id;
-                    id
+            let next = self.next_of(node);
+            node = if next == NONE {
+                let id = if dim + 1 == last {
+                    self.alloc_leaf()
                 } else {
-                    next
+                    self.alloc_inner()
                 };
-                self.cursor.start_dim(dim + 1, node);
-            }
+                self.inner[node as usize].meta = (self.inner[node as usize].meta & LAMBDA_BIT) | id;
+                id
+            } else {
+                next
+            };
+            self.cursor.start_dim(dim + 1, node);
+        }
+        let iv = b.get(last);
+        let from = if start_dim == last { start_len } else { 0 };
+        for k in from..iv.len() {
+            let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
+            let child = self.leaves[node as usize].child(bit);
+            node = if child == NONE {
+                let id = self.alloc_leaf();
+                let word = &mut self.leaves[node as usize].children[bit];
+                *word = (*word & TERMINAL_BIT) | id;
+                id
+            } else {
+                child
+            };
+            self.cursor.push(node);
         }
         #[cfg(debug_assertions)]
         self.debug_check_cursor(b);
         // Every end-of-component node from the last non-λ component on
-        // gains the λ-tail fact; all of them sit on the cursor path.
+        // gains the λ-tail fact; all of them sit on the cursor path. On
+        // the last level that fact is the terminal flag set below.
         let t0 = (0..self.n)
             .rev()
             .find(|&i| !b.get(i).is_lambda())
             .unwrap_or(0);
-        for i in t0..self.n {
+        for i in t0..last {
             let e = self.cursor.end_node(i, b);
-            self.nodes[e as usize].meta |= LAMBDA_BIT;
+            self.inner[e as usize].meta |= LAMBDA_BIT;
         }
-        let fresh = !self.is_terminal(node);
-        self.nodes[node as usize].meta |= TERMINAL_BIT;
+        let leaf = &mut self.leaves[node as usize];
+        let fresh = !leaf.is_terminal();
+        leaf.children[0] |= TERMINAL_BIT;
         if fresh {
             self.len += 1;
             self.log.record(self.n, b);
@@ -281,7 +361,7 @@ impl BoxTree {
             let iv = b.get(dim);
             for k in 0..iv.len() {
                 let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-                node = self.nodes[node as usize].children[bit];
+                node = self.child(dim, node, bit);
                 assert_eq!(self.cursor.node_at(dim, k + 1), node, "cursor bit node");
             }
             if dim + 1 < self.n {
@@ -321,23 +401,25 @@ impl BoxTree {
         let mut node = root;
         let mut k = 0u8;
         loop {
-            let m = self.nodes[node as usize].meta;
             if last {
-                if m & TERMINAL_BIT != 0 {
+                if self.leaves[node as usize].is_terminal() {
                     scratch.set(dim, iv.truncate(k));
                     return true;
                 }
-            } else if m & LINK_MASK != NONE_LINK {
-                scratch.set(dim, iv.truncate(k));
-                if self.first_containing(m & LINK_MASK, dim + 1, b, scratch) {
-                    return true;
+            } else {
+                let link = self.next_of(node);
+                if link != NONE {
+                    scratch.set(dim, iv.truncate(k));
+                    if self.first_containing(link, dim + 1, b, scratch) {
+                        return true;
+                    }
                 }
             }
             if k == iv.len() {
                 return false;
             }
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            let child = self.nodes[node as usize].children[bit];
+            let child = self.child(dim, node, bit);
             if child == NONE {
                 return false;
             }
@@ -422,7 +504,7 @@ impl BoxTree {
         let mut kept = 0;
         for idx in 0..state.entries.len() {
             let mut e = state.entries[idx];
-            let child = self.nodes[e.node as usize].children[bit];
+            let child = self.child(dim, e.node, bit);
             if child == NONE {
                 continue;
             }
@@ -482,7 +564,7 @@ impl BoxTree {
         let mut old_hit: Option<([u8; MAX_DIMS], DyadicBox)> = None;
         for idx in 0..state.entries.len() {
             let mut e = state.entries[idx];
-            let child = self.nodes[e.node as usize].children[bit];
+            let child = self.child(dim, e.node, bit);
             if child == NONE {
                 continue;
             }
@@ -549,14 +631,14 @@ impl BoxTree {
             let cv = c.get(j);
             for k in 0..cv.len() {
                 let bit = ((cv.bits() >> (cv.len() - 1 - k)) & 1) as usize;
-                node = self.nodes[node as usize].children[bit];
+                node = self.inner[node as usize].children[bit];
             }
             node = self.next_of(node);
         }
         let iv = b.get(dim);
         for k in 0..iv.len() {
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            node = self.nodes[node as usize].children[bit];
+            node = self.child(dim, node, bit);
         }
         node
     }
@@ -564,10 +646,14 @@ impl BoxTree {
     /// Whether a box ends through `node` at level `dim` with `λ`
     /// components on every later dimension — an O(1) flag read (the
     /// chain walk survives as the debug oracle).
-    fn lambda_tail(&self, node: u32, _dim: usize) -> bool {
-        let cached = self.nodes[node as usize].meta & LAMBDA_BIT != 0;
+    fn lambda_tail(&self, node: u32, dim: usize) -> bool {
+        let cached = if dim + 1 == self.n {
+            self.leaves[node as usize].is_terminal()
+        } else {
+            self.inner[node as usize].meta & LAMBDA_BIT != 0
+        };
         #[cfg(debug_assertions)]
-        debug_assert_eq!(cached, self.lambda_tail_walk(node, _dim));
+        debug_assert_eq!(cached, self.lambda_tail_walk(node, dim));
         cached
     }
 
@@ -576,17 +662,13 @@ impl BoxTree {
     #[cfg(debug_assertions)]
     fn lambda_tail_walk(&self, node: u32, dim: usize) -> bool {
         let mut x = node;
-        for d in dim..self.n {
-            let m = self.nodes[x as usize].meta;
-            if d + 1 == self.n {
-                return m & TERMINAL_BIT != 0;
-            }
-            if m & LINK_MASK == NONE_LINK {
+        for _ in dim + 1..self.n {
+            x = self.next_of(x);
+            if x == NONE {
                 return false;
             }
-            x = m & LINK_MASK;
         }
-        unreachable!("loop returns at the last level")
+        self.leaves[x as usize].is_terminal()
     }
 
     /// Full walk that records the frontier for later advancing.
@@ -636,24 +718,26 @@ impl BoxTree {
             if level == dim && k == iv.len() {
                 entries.push(TreeEntry { node, lens: *lens });
             }
-            let m = self.nodes[node as usize].meta;
             if last {
-                if m & TERMINAL_BIT != 0 {
+                if self.leaves[node as usize].is_terminal() {
                     scratch.set(level, iv.truncate(k));
                     return true;
                 }
-            } else if m & LINK_MASK != NONE_LINK {
-                scratch.set(level, iv.truncate(k));
-                lens[level] = k;
-                if self.walk_record(m & LINK_MASK, level + 1, b, dim, lens, scratch, entries) {
-                    return true;
+            } else {
+                let link = self.next_of(node);
+                if link != NONE {
+                    scratch.set(level, iv.truncate(k));
+                    lens[level] = k;
+                    if self.walk_record(link, level + 1, b, dim, lens, scratch, entries) {
+                        return true;
+                    }
                 }
             }
             if k == iv.len() {
                 return false;
             }
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            let child = self.nodes[node as usize].children[bit];
+            let child = self.child(level, node, bit);
             if child == NONE {
                 return false;
             }
@@ -694,21 +778,23 @@ impl BoxTree {
         let mut node = root;
         // Visit every prefix of `iv` from λ down to `iv` itself.
         for k in 0..=iv.len() {
-            let m = self.nodes[node as usize].meta;
             if last {
-                if m & TERMINAL_BIT != 0 {
+                if self.leaves[node as usize].is_terminal() {
                     scratch.set(dim, iv.truncate(k));
                     out.push(*scratch);
                 }
-            } else if m & LINK_MASK != NONE_LINK {
-                scratch.set(dim, iv.truncate(k));
-                self.walk_containing(m & LINK_MASK, dim + 1, b, scratch, out);
+            } else {
+                let link = self.next_of(node);
+                if link != NONE {
+                    scratch.set(dim, iv.truncate(k));
+                    self.walk_containing(link, dim + 1, b, scratch, out);
+                }
             }
             if k == iv.len() {
                 break;
             }
             let bit = ((iv.bits() >> (iv.len() - 1 - k)) & 1) as usize;
-            let child = self.nodes[node as usize].children[bit];
+            let child = self.child(dim, node, bit);
             if child == NONE {
                 break;
             }
@@ -755,24 +841,20 @@ impl BoxTree {
         scratch: &mut DyadicBox,
         visit: &mut impl FnMut(&DyadicBox),
     ) {
-        let m = self.nodes[node as usize].meta;
         // Any box whose component ends at `prefix` is prefix-comparable
         // with the target here by construction of the walk.
         if dim + 1 == self.n {
-            if m & TERMINAL_BIT != 0 {
+            if self.leaves[node as usize].is_terminal() {
                 scratch.set(dim, prefix);
                 visit(scratch);
             }
-        } else if m & LINK_MASK != NONE_LINK {
-            scratch.set(dim, prefix);
-            self.walk_intersecting(
-                m & LINK_MASK,
-                dim + 1,
-                target,
-                DyadicInterval::lambda(),
-                scratch,
-                visit,
-            );
+        } else {
+            let link = self.next_of(node);
+            if link != NONE {
+                scratch.set(dim, prefix);
+                let lambda = DyadicInterval::lambda();
+                self.walk_intersecting(link, dim + 1, target, lambda, scratch, visit);
+            }
         }
         let tv = target.get(dim);
         if prefix.len() < tv.len() {
@@ -780,14 +862,14 @@ impl BoxTree {
             // comparable.
             let k = prefix.len();
             let bit = ((tv.bits() >> (tv.len() - 1 - k)) & 1) as u8;
-            let child = self.nodes[node as usize].children[bit as usize];
+            let child = self.child(dim, node, bit as usize);
             if child != NONE {
                 self.walk_intersecting(child, dim, target, prefix.child(bit), scratch, visit);
             }
         } else {
             // Past the target's component: every extension lies inside it.
             for bit in 0..2u8 {
-                let child = self.nodes[node as usize].children[bit as usize];
+                let child = self.child(dim, node, bit as usize);
                 if child != NONE {
                     self.walk_intersecting(child, dim, target, prefix.child(bit), scratch, visit);
                 }
@@ -817,24 +899,20 @@ impl BoxTree {
         scratch: &mut DyadicBox,
         out: &mut Vec<DyadicBox>,
     ) {
-        let m = self.nodes[node as usize].meta;
         if dim + 1 == self.n {
-            if m & TERMINAL_BIT != 0 {
+            if self.leaves[node as usize].is_terminal() {
                 scratch.set(dim, prefix);
                 out.push(*scratch);
             }
-        } else if m & LINK_MASK != NONE_LINK {
-            scratch.set(dim, prefix);
-            self.walk_all(
-                m & LINK_MASK,
-                dim + 1,
-                DyadicInterval::lambda(),
-                scratch,
-                out,
-            );
+        } else {
+            let link = self.next_of(node);
+            if link != NONE {
+                scratch.set(dim, prefix);
+                self.walk_all(link, dim + 1, DyadicInterval::lambda(), scratch, out);
+            }
         }
         for bit in 0..2u8 {
-            let child = self.nodes[node as usize].children[bit as usize];
+            let child = self.child(dim, node, bit as usize);
             if child != NONE {
                 self.walk_all(child, dim, prefix.child(bit), scratch, out);
             }
@@ -1058,14 +1136,47 @@ mod tests {
 
     #[test]
     fn one_dimensional_store() {
+        // At n = 1 the root itself is a last-level node: no inner arena.
         let mut t = BoxTree::new(1);
-        t.insert(&b("01"));
-        t.insert(&b("1"));
+        assert!(t.insert(&b("01")));
+        assert!(t.insert(&b("1")));
+        assert!(!t.insert(&b("1")), "duplicate insert must report false");
+        assert!(t.inner.is_empty());
         assert!(t.covers(&b("011")));
-        assert!(t.covers(&b("11")));
+        assert_eq!(t.find_containing(&b("11")), Some(b("1")));
         assert!(!t.covers(&b("00")));
         assert!(!t.covers(&b("0")));
+        assert_eq!(t.all_containing(&b("010")), vec![b("01")]);
+        let mut probe = DescentProbe::new();
+        assert_eq!(t.find_containing_tracked(&b("0"), 0, &mut probe), None);
+        assert_eq!(
+            t.find_containing_tracked(&b("01"), 0, &mut probe),
+            Some(b("01"))
+        );
+        assert_eq!(probe.advances, 1, "the child probe advances the frontier");
         assert_eq!(t.iter_boxes().len(), 2);
+        let mut shard = BoxTree::new(1);
+        t.extract_intersecting_into(&b("0"), &mut shard);
+        assert_eq!(shard.iter_boxes(), vec![b("01")]);
+        t.clear();
+        assert!(t.is_empty());
+        assert!(!t.covers(&b("011")));
+        assert!(t.insert(&b("0")));
+        assert!(t.covers(&b("011")));
+        assert_eq!(t.mem_stats().nodes, 2);
+    }
+
+    #[test]
+    fn mem_stats_counts_both_arenas() {
+        // Three dimensions: inner nodes on levels 0 and 1, leaves on 2.
+        let t = store(3, &[b("0,1,λ"), b("01,λ,10"), b("1,λ,λ"), b("1,0,011")]);
+        assert!(!t.inner.is_empty() && !t.leaves.is_empty());
+        let mem = t.mem_stats();
+        let (inner, leaves) = (t.inner.len() as u64, t.leaves.len() as u64);
+        assert_eq!(mem.nodes, inner + leaves);
+        assert_eq!(mem.bytes, 16 * inner + 8 * leaves);
+        // ⟨1,0,011⟩'s walk: root, 1 bit, next, 1 bit, next, 3 bits.
+        assert_eq!(mem.max_depth, 7);
     }
 
     #[test]

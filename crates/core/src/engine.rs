@@ -612,35 +612,40 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             if restarting {
                 Absorb::Restart
             } else {
-                Absorb::Witness(self.best_witness(&hits, cur))
+                Absorb::Witness(best_witness(&hits, cur, &self.space, &self.stack, |f| f))
             }
         };
         self.hits = hits;
         out
     }
+}
 
-    /// Choose, among the freshly loaded boxes, the one invalidating the
-    /// largest suffix of the live descent: the box covering the
-    /// *shallowest* suspended frame (ties broken by geometric volume).
-    /// Unwinding with it collapses exactly the branch the new knowledge
-    /// covers and no more.
-    fn best_witness(&self, hits: &[DyadicBox], cur: &DyadicBox) -> DyadicBox {
-        debug_assert!(!hits.is_empty());
-        let mut best = hits[0];
-        let mut best_depth = usize::MAX;
-        for h in hits {
-            // Frames are nested, so coverage is monotone down the stack:
-            // binary-search the shallowest covered frame.
-            let depth = self.stack.partition_point(|f| !f.covered_by(h, cur));
-            if depth < best_depth
-                || (depth == best_depth && h.volume(&self.space) > best.volume(&self.space))
-            {
-                best = *h;
-                best_depth = depth;
-            }
+/// Choose, among the freshly loaded boxes `hits`, the one invalidating
+/// the largest suffix of the live descent `stack` (outermost frame
+/// first, each read through `frame`): the box covering the *shallowest*
+/// suspended frame, ties broken by geometric volume. Unwinding with it
+/// collapses exactly the branch the new knowledge covers and no more.
+/// The sequential and the parallel driver share this policy.
+pub(crate) fn best_witness<F>(
+    hits: &[DyadicBox],
+    cur: &DyadicBox,
+    space: &Space,
+    stack: &[F],
+    frame: impl Fn(&F) -> &Frame,
+) -> DyadicBox {
+    debug_assert!(!hits.is_empty());
+    let mut best = hits[0];
+    let mut best_depth = usize::MAX;
+    for h in hits {
+        // Frames are nested, so coverage is monotone down the stack:
+        // binary-search the shallowest covered frame.
+        let depth = stack.partition_point(|f| !frame(f).covered_by(h, cur));
+        if depth < best_depth || (depth == best_depth && h.volume(space) > best.volume(space)) {
+            best = *h;
+            best_depth = depth;
         }
-        best
     }
+    best
 }
 
 /// Outcome of absorbing an uncovered unit box.
@@ -747,6 +752,19 @@ mod tests {
                 bx
             })
             .collect()
+    }
+
+    #[test]
+    fn best_witness_breaks_depth_ties_by_volume() {
+        // Position ⟨00,00⟩ of a 2×2-bit space under the frames of targets
+        // ⟨λ,λ⟩, ⟨0,λ⟩, ⟨00,λ⟩, ⟨00,0⟩. ⟨00,0⟩, ⟨0,0⟩ and ⟨λ,0⟩ all cover
+        // the last frame and no shallower one; ⟨λ,0⟩ is the largest.
+        let space = Space::uniform(2, 2);
+        let frame = |dim, len| Frame { dim, len, w1: None };
+        let stack = [frame(0, 0), frame(0, 1), frame(1, 0), frame(1, 1)];
+        let hits = [b("00,00"), b("00,0"), b("λ,0"), b("0,0")];
+        let best = best_witness(&hits, &b("00,00"), &space, &stack, |f| f);
+        assert_eq!(best, b("λ,0"));
     }
 
     #[test]

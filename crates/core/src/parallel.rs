@@ -48,7 +48,7 @@
 //! stats-regression wall pins `outputs` (and the tuples themselves) and
 //! documents every other counter as scheduling-dependent.
 
-use crate::engine::{nav0, Frame, Tetris, TetrisOutput};
+use crate::engine::{best_witness, nav0, Frame, Tetris, TetrisOutput};
 use crate::TetrisStats;
 use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
@@ -535,7 +535,7 @@ impl SubEngine {
                     }
                 }
             }
-            self.best_witness(&hits, cur)
+            best_witness(&hits, cur, &ctx.space, &self.stack, |pf| &pf.frame)
         };
         self.hits = hits;
         w
@@ -697,24 +697,6 @@ impl SubEngine {
         }
         self.cancelled = true;
         target
-    }
-
-    /// Among freshly loaded boxes, pick the one collapsing the largest
-    /// suffix of the live descent (same policy as the sequential driver).
-    fn best_witness(&self, hits: &[DyadicBox], cur: &DyadicBox) -> DyadicBox {
-        debug_assert!(!hits.is_empty());
-        let mut best = hits[0];
-        let mut best_depth = usize::MAX;
-        for h in hits {
-            let depth = self
-                .stack
-                .partition_point(|pf| !pf.frame.covered_by(h, cur));
-            if depth < best_depth {
-                best = *h;
-                best_depth = depth;
-            }
-        }
-        best
     }
 }
 

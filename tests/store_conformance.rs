@@ -106,7 +106,9 @@ fn sorted_boxes(s: &BoxTree) -> Vec<DyadicBox> {
 fn conformance_run(tuning: StoreTuning, seed: u64) {
     let ring = tuning.insert_ring;
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(1..=3);
+    // Every dimension count: n = 1 runs the last-level arena alone, n =
+    // MAX_DIMS runs long chains of inner levels.
+    let n = rng.gen_range(1..=MAX_DIMS);
     let width = rng.gen_range(2..=5) as u8;
     let mut store = BoxTree::with_tuning(n, tuning);
     let mut naive = NaiveStore::default();
