@@ -34,7 +34,7 @@ mod store;
 mod tree;
 
 pub use oracle::{BoxOracle, SetOracle};
-pub use store::{DescentProbe, FrontierStack, StoreTuning, DEFAULT_INSERT_RING, REPAIR_CAP};
+pub use store::{DescentProbe, FrontierStack, DEFAULT_INSERT_RING, REPAIR_CAP};
 pub use tree::BoxTree;
 
 /// Checks of the contract the engines rely on across calls: `insert`

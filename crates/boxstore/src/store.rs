@@ -8,8 +8,8 @@
 use crate::tree::TreeEntry;
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
-/// Default length of the store's rolling insert ring (the window of
-/// recent inserts a saved probe frontier can be repaired against).
+/// Length of every store's rolling insert ring (the window of recent
+/// inserts a saved probe frontier can be repaired against).
 pub const DEFAULT_INSERT_RING: usize = 256;
 
 /// Maximum number of logged inserts a saved frontier may lag behind the
@@ -17,21 +17,8 @@ pub const DEFAULT_INSERT_RING: usize = 256;
 /// full walk.
 pub const REPAIR_CAP: u64 = 64;
 
-/// Construction-time tuning of a [`crate::BoxTree`].
-#[derive(Clone, Copy, Debug)]
-pub struct StoreTuning {
-    /// Length of the rolling insert ring (must be ≥ [`REPAIR_CAP`]; the
-    /// repair window must never be overwritten before it can be read).
-    pub insert_ring: usize,
-}
-
-impl Default for StoreTuning {
-    fn default() -> Self {
-        StoreTuning {
-            insert_ring: DEFAULT_INSERT_RING,
-        }
-    }
-}
+// The repair window must never be overwritten before it can be read.
+const _: () = assert!(DEFAULT_INSERT_RING as u64 >= REPAIR_CAP);
 
 /// Reusable state for [`crate::BoxTree::find_containing_tracked`]: the
 /// frontier of the last failed probe, valid for the immediate child of
@@ -232,7 +219,6 @@ impl FrontierStack {
 pub(crate) struct InsertLog {
     /// Insert `i` lives at `i % ring.len()`; allocated on first insert.
     ring: Vec<DyadicBox>,
-    ring_len: usize,
     /// Novel inserts ever performed (monotone; not reset by clears).
     insert_count: u64,
     /// Times the store was cleared (invalidates node ids and the log).
@@ -265,18 +251,10 @@ fn fingerprint(b: &DyadicBox) -> u64 {
 }
 
 impl InsertLog {
-    /// An empty log with the given ring length.
-    ///
-    /// # Panics
-    /// If `ring_len < REPAIR_CAP` — the repairable window must fit.
-    pub fn new(ring_len: usize) -> Self {
-        assert!(
-            ring_len as u64 >= REPAIR_CAP,
-            "insert ring ({ring_len}) must hold at least REPAIR_CAP ({REPAIR_CAP}) entries"
-        );
+    /// An empty log of [`DEFAULT_INSERT_RING`] entries.
+    pub fn new() -> Self {
         InsertLog {
             ring: Vec::new(),
-            ring_len,
             insert_count: 0,
             clears: 0,
             block_cur: 0,
@@ -287,14 +265,15 @@ impl InsertLog {
     /// Record a novel insert of an `n`-dimensional box.
     pub fn record(&mut self, n: usize, b: &DyadicBox) {
         if self.ring.is_empty() {
-            self.ring.resize(self.ring_len, DyadicBox::universe(n));
+            self.ring
+                .resize(DEFAULT_INSERT_RING, DyadicBox::universe(n));
         }
         if self.insert_count.is_multiple_of(REPAIR_CAP) {
             self.block_prev = self.block_cur;
             self.block_cur = 0;
         }
         self.block_cur |= fingerprint(b);
-        let slot = (self.insert_count % self.ring_len as u64) as usize;
+        let slot = (self.insert_count % DEFAULT_INSERT_RING as u64) as usize;
         // Refresh only the live components: every ring box already has
         // the right dimensionality, and nothing reads past dimension `n`.
         for i in 0..n {
@@ -385,7 +364,7 @@ impl InsertLog {
         let iv = b.get(dim);
         let mut best: Option<([u8; MAX_DIMS], DyadicBox)> = None;
         'window: for i in mark..self.insert_count {
-            let c = &self.ring[(i % self.ring_len as u64) as usize];
+            let c = &self.ring[(i % DEFAULT_INSERT_RING as u64) as usize];
             for j in 0..dim {
                 let (cj, bj) = (c.get(j), b.get(j));
                 if cj.len() > bj.len() || bj.truncate(cj.len()) != cj {
@@ -424,7 +403,7 @@ impl InsertLog {
         debug_assert!(self.lag(mark) <= REPAIR_CAP);
         let mut best: Option<([u8; MAX_DIMS], DyadicBox)> = None;
         for i in mark..self.insert_count {
-            let c = &self.ring[(i % self.ring_len as u64) as usize];
+            let c = &self.ring[(i % DEFAULT_INSERT_RING as u64) as usize];
             if c.contains(b) {
                 let key = lens_key_of_box(c, dim);
                 if best.as_ref().is_none_or(|(k, _)| key < *k) {
@@ -585,7 +564,7 @@ mod tests {
 
     #[test]
     fn insert_log_rolls_and_ranks() {
-        let mut log = InsertLog::new(64);
+        let mut log = InsertLog::new();
         assert_eq!(log.insert_count(), 0);
         log.record(2, &b("0,λ"));
         log.record(2, &b("λ,λ"));
@@ -601,15 +580,9 @@ mod tests {
         let (_, best) = log.best_candidate(&b("00,1"), 0, 2).unwrap();
         assert_eq!(best, b("00,λ"));
         // A probe outside every lagging insert has no candidate.
-        let mut disjoint = InsertLog::new(64);
+        let mut disjoint = InsertLog::new();
         disjoint.record(2, &b("0,λ"));
         assert!(disjoint.best_candidate(&b("11,1"), 0, 0).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "REPAIR_CAP")]
-    fn undersized_ring_is_rejected() {
-        let _ = InsertLog::new(8);
     }
 
     #[test]
@@ -636,7 +609,7 @@ mod tests {
         }
         for probe in &boxes {
             for window in boxes.chunks(5) {
-                let mut log = InsertLog::new(64);
+                let mut log = InsertLog::new();
                 for c in window {
                     log.record(2, c);
                 }
@@ -655,7 +628,7 @@ mod tests {
         // Not a soundness requirement, but the point of the summary: a
         // window of inserts that all start with a 0-bit at dim 0 must be
         // pruned for a probe starting with a 1-bit.
-        let mut log = InsertLog::new(64);
+        let mut log = InsertLog::new();
         log.record(2, &b("00,λ"));
         log.record(2, &b("01,1"));
         assert!(!log.summary_may_contain(&b("11,1")));
@@ -671,7 +644,7 @@ mod tests {
         // and the next skeleton probe asks about a shallow box. No deeper
         // box can contain a shallower one, and the length buckets prove
         // it without touching the ring.
-        let mut log = InsertLog::new(64);
+        let mut log = InsertLog::new();
         log.record(2, &b("0010,11"));
         log.record(2, &b("0111,00"));
         assert!(
@@ -686,7 +659,7 @@ mod tests {
         // An insert stays visible to the summary for at least REPAIR_CAP
         // subsequent inserts (the full repairable lag), across the
         // two-block rotation.
-        let mut log = InsertLog::new(256);
+        let mut log = InsertLog::new();
         // Fill most of the first block, land the candidate at index 63
         // (the last slot of block 0), then push 63 more inserts so the
         // blocks rotate once underneath it.
@@ -713,7 +686,7 @@ mod tests {
         // summary bits would still claim a now-empty store may contain
         // probes — harmless for soundness (false positives only), wrong
         // as a summary. `note_clear` zeroes both blocks; pin it.
-        let mut log = InsertLog::new(256);
+        let mut log = InsertLog::new();
         for _ in 0..REPAIR_CAP + 3 {
             // Past one block rotation, landing mid-way into block 1.
             log.record(2, &b("λ,λ"));

@@ -29,7 +29,7 @@
 //! parallel descent's overlay shards, the frontier repair and the
 //! differential walls all rely on this witness order.
 
-use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, StoreTuning, REPAIR_CAP};
+use crate::store::{is_child_at, DescentProbe, InsertCursor, InsertLog, REPAIR_CAP};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 
 /// Sentinel for "no child" and "no next level", shared by both arenas.
@@ -139,13 +139,8 @@ pub(crate) struct TreeEntry {
 }
 
 impl BoxTree {
-    /// An empty store for `n`-dimensional boxes (default tuning).
+    /// An empty store for `n`-dimensional boxes.
     pub fn new(n: usize) -> Self {
-        Self::with_tuning(n, StoreTuning::default())
-    }
-
-    /// An empty store with an explicit insert-ring length.
-    pub fn with_tuning(n: usize, tuning: StoreTuning) -> Self {
         assert!(n >= 1, "boxes must have at least one dimension");
         let mut t = BoxTree {
             inner: Vec::with_capacity(1024),
@@ -153,7 +148,7 @@ impl BoxTree {
             root: 0,
             n,
             len: 0,
-            log: InsertLog::new(tuning.insert_ring),
+            log: InsertLog::new(),
             cursor: InsertCursor::new(n, 0),
         };
         t.push_root();

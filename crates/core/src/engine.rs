@@ -13,11 +13,23 @@
 //! outputs in the same order, strictly fewer restarts. The literal
 //! restart-driven loop is retained as [`Descent::Restart`] (the
 //! lower-bound reproductions need its re-treading behaviour).
+//!
+//! The descent is written once, as `Skeleton::descend`: one loop over
+//! one state struct (frame stack, tracked probe and its saved frontiers,
+//! the streamed resolvent, counters, ledger, flight recorder, scratch
+//! buffers). A sequential run drives it over the whole space; under
+//! [`Descent::Parallel`] every task drives the same loop over its donated
+//! subtree. Three inputs, each `None` on a sequential run, are the whole
+//! difference: a frozen base store probed before the task's own store, a
+//! worker handle (stop and hunger checks, donation), and a donation cell
+//! on a frame (join the thief, then unwind with its witness).
 
+use crate::parallel::{DonationCell, WorkerHandle};
 use crate::{TetrisStats, TraceEvent};
 use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack};
 use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
 use obs::ObsSink;
+use std::sync::Arc;
 
 /// How the engine walks the skeleton between knowledge-base changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -112,9 +124,8 @@ pub struct TetrisOutput {
 /// stored — it is reconstructed from the current position (`cur`) as
 /// "components before `dim` as in `cur`, component `dim` truncated to
 /// `len`, `λ` after", which every deeper position agrees with. Keeping
-/// frames this small is what makes the persistent stack cheap (and is the
-/// shape a future work-stealing split would hand to another worker).
-#[derive(Clone, Copy, Debug)]
+/// frames this small is what makes the persistent stack cheap, and it is
+/// the shape a work-stealing donation hands to another worker.
 pub(crate) struct Frame {
     /// Split dimension (the target's first thick dimension).
     pub(crate) dim: u8,
@@ -122,12 +133,15 @@ pub(crate) struct Frame {
     pub(crate) len: u8,
     /// Witness of the completed 0-side half, if the 1-side is in progress.
     pub(crate) w1: Option<DyadicBox>,
+    /// Rendezvous with the thief running this frame's 1-side
+    /// ([`Descent::Parallel`] only; always `None` on sequential runs).
+    pub(crate) donated: Option<Arc<DonationCell>>,
 }
 
 impl Frame {
     /// Whether `w` covers this frame's (reconstructed) target.
     #[inline]
-    pub(crate) fn covered_by(&self, w: &DyadicBox, cur: &DyadicBox) -> bool {
+    fn covered_by(&self, w: &DyadicBox, cur: &DyadicBox) -> bool {
         let dim = self.dim as usize;
         for i in 0..cur.n() {
             let wi = w.get(i);
@@ -146,8 +160,8 @@ impl Frame {
         true
     }
 
-    /// Materialize the frame's target box (frontier restores only; the
-    /// probe hot path never needs it).
+    /// Materialize the frame's target box (frontier restores and
+    /// donations only; the probe hot path never needs it).
     pub(crate) fn target(&self, cur: &DyadicBox) -> DyadicBox {
         let dim = self.dim as usize;
         let mut t = *cur;
@@ -159,19 +173,11 @@ impl Frame {
     }
 }
 
-/// Build the bounded trace channel a config asks for (`None` when
-/// untraced — those runs allocate nothing for tracing).
-fn recorder_for(config: &TetrisConfig) -> Option<obs::FlightRecorder<TraceEvent>> {
-    config
-        .trace
-        .then(|| obs::FlightRecorder::new(obs::DEFAULT_TRACE_CAPACITY))
-}
-
 /// The dimension-0 navigation word of a box — the attribution ledger's
 /// row key. The obs crate is dyadic-free, so observation sites hand in
 /// the raw `u64` word.
 #[inline]
-pub(crate) fn nav0(b: &DyadicBox) -> u64 {
+fn nav0(b: &DyadicBox) -> u64 {
     b.get(0).nav_word()
 }
 
@@ -182,32 +188,7 @@ pub(crate) fn nav0(b: &DyadicBox) -> u64 {
 /// the skeleton always splits the first thick dimension of its target.
 pub struct Tetris<'o, O: BoxOracle + ?Sized> {
     pub(crate) oracle: &'o O,
-    pub(crate) space: Space,
-    pub(crate) kb: BoxTree,
-    pub(crate) config: TetrisConfig,
-    pub(crate) stats: TetrisStats,
-    /// Bounded trace channel ([`TetrisConfig::trace`] only): a
-    /// fixed-capacity ring in place of the old unbounded `Vec`, so traced
-    /// runs stay usable at graph scale. `None` on untraced runs — they
-    /// allocate nothing for tracing.
-    trace: Option<obs::FlightRecorder<TraceEvent>>,
-    /// Suspended skeleton invocations, outermost first.
-    stack: Vec<Frame>,
-    /// Scratch buffer for oracle answers (reused across probes).
-    hits: Vec<DyadicBox>,
-    /// Scratch buffer for output tuples (reused across outputs).
-    point: Vec<u64>,
-    /// Incremental knowledge-base probe state (descends advance the last
-    /// failed probe's frontier instead of re-walking the store).
-    probe: DescentProbe,
-    /// Per-frame saved probe frontiers (incremental descents only):
-    /// right-sibling descents restore these and advance+repair instead of
-    /// re-walking the store.
-    frontiers: FrontierStack,
-    /// Observability ledger ([`TetrisConfig::obs`] only); the
-    /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
-    /// site a single branch when off.
-    pub(crate) obs: Option<Box<obs::Ledger>>,
+    pub(crate) sk: Skeleton,
 }
 
 impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
@@ -216,22 +197,9 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
     /// box the oracle enumerates is inserted into the knowledge base.
     pub fn with_config(oracle: &'o O, config: TetrisConfig) -> Self {
         let space = oracle.space();
-        let mut engine = Tetris {
-            oracle,
-            space,
-            kb: BoxTree::new(space.n()),
-            config,
-            stats: TetrisStats::new(space.n()),
-            trace: recorder_for(&config),
-            stack: Vec::new(),
-            hits: Vec::new(),
-            point: Vec::new(),
-            probe: DescentProbe::new(),
-            frontiers: FrontierStack::new(),
-            obs: config.obs.then(Box::default),
-        };
+        let mut sk = Skeleton::new(space, config, BoxTree::new(space.n()));
         if config.preload {
-            let kb = &mut engine.kb;
+            let kb = &mut sk.kb;
             let mut novel = 0u64;
             let enumerable = oracle.for_each_box(&mut |b: &DyadicBox| {
                 if kb.insert(b) {
@@ -239,9 +207,9 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 }
             });
             assert!(enumerable, "preloaded mode requires an enumerable oracle");
-            engine.stats.kb_inserts += novel;
+            sk.stats.kb_inserts += novel;
         }
-        engine
+        Tetris { oracle, sk }
     }
 
     /// `Tetris-Preloaded` (§4.3): the knowledge base starts as all of `B`.
@@ -263,43 +231,203 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
 
     /// Enable/disable resolvent caching (builder style).
     pub fn cache_resolvents(mut self, yes: bool) -> Self {
-        self.config.cache_resolvents = yes;
+        self.sk.config.cache_resolvents = yes;
         self
     }
 
     /// Choose the descent strategy (builder style).
     pub fn descent(mut self, d: Descent) -> Self {
-        self.config.descent = d;
+        self.sk.config.descent = d;
         self
     }
 
     /// Enable tracing (builder style).
     pub fn traced(mut self) -> Self {
-        self.config.trace = true;
-        self.trace = recorder_for(&self.config);
+        self.sk.config.trace = true;
+        self.sk.trace = recorder_for(&self.sk.config);
         self
     }
 
     /// The ambient space.
     pub fn space(&self) -> Space {
-        self.space
+        self.sk.space
     }
 
     /// Current knowledge-base size (stored boxes).
     pub fn knowledge_size(&self) -> usize {
-        self.kb.len()
+        self.sk.kb.len()
     }
 
-    /// Copy incremental-probe and flight-recorder diagnostics into the
-    /// run counters.
-    fn sync_probe_stats(&mut self) {
-        self.stats.probe_advances = self.probe.advances;
-        self.stats.probe_repairs = self.probe.repairs;
-        self.stats.probe_repair_fasts = self.probe.repair_fasts;
-        self.stats.probe_full_walks = self.probe.full_walks;
-        if let Some(r) = &self.trace {
-            self.stats.trace_recorded = r.recorded();
-            self.stats.trace_dropped = r.dropped();
+    /// The knowledge base's memory ledger ([`BoxTree::mem_stats`]):
+    /// arena nodes, exact bytes, deepest link chain. Cheap relative to a
+    /// solve but it walks every node — meant for once-per-run reporting
+    /// (after the preload, before the solve), not the hot path.
+    pub fn mem_stats(&self) -> obs::MemStats {
+        self.sk.kb.mem_stats()
+    }
+
+    /// Algorithm 2: run to completion, collecting all output tuples.
+    pub fn run(mut self) -> TetrisOutput {
+        if let Descent::Parallel { threads } = self.sk.config.descent {
+            return crate::parallel::run_parallel(self, threads, false);
+        }
+        let mut tuples = Vec::new();
+        self.drive(|t| {
+            tuples.push(t.to_vec());
+            false
+        });
+        TetrisOutput {
+            tuples,
+            stats: self.sk.stats,
+            // Untraced runs carry `None` and allocate nothing here —
+            // `Vec::default()` has capacity 0 (pinned by test).
+            trace: self
+                .sk
+                .trace
+                .map(obs::FlightRecorder::drain)
+                .unwrap_or_default(),
+            obs: self.sk.obs,
+        }
+    }
+
+    /// Stream output tuples to a callback instead of materializing them
+    /// (outer-loop mode). Returns the final stats. Under
+    /// [`Descent::Parallel`] the tuples are materialized, merged into
+    /// their deterministic (lexicographic) order, and only then streamed.
+    pub fn for_each_output(mut self, mut f: impl FnMut(&[u64])) -> TetrisStats {
+        if let Descent::Parallel { threads } = self.sk.config.descent {
+            let out = crate::parallel::run_parallel(self, threads, false);
+            for t in &out.tuples {
+                f(t);
+            }
+            return out.stats;
+        }
+        self.drive(|t| {
+            f(t);
+            false
+        });
+        self.sk.stats
+    }
+
+    /// Boolean BCP (Definition 3.5): does `B` cover the whole space?
+    /// Stops at the first uncovered output point (under
+    /// [`Descent::Parallel`], at the first output any worker finds — the
+    /// Boolean answer is deterministic either way).
+    pub fn check_cover(mut self) -> (bool, TetrisStats) {
+        if let Descent::Parallel { threads } = self.sk.config.descent {
+            let out = crate::parallel::run_parallel(self, threads, true);
+            return (out.tuples.is_empty(), out.stats);
+        }
+        let mut found = false;
+        self.drive(|_| {
+            found = true;
+            true
+        });
+        (!found, self.sk.stats)
+    }
+
+    /// The sequential driver: one skeleton descent over the whole space
+    /// (Algorithms 1+2 fused). `on_output` receives each tuple and
+    /// returns `true` to stop (Boolean mode).
+    fn drive(&mut self, on_output: impl FnMut(&[u64]) -> bool) {
+        let sk = &mut self.sk;
+        sk.stats.restarts += 1;
+        sk.emit(|| TraceEvent::Restart);
+        let universe = DyadicBox::universe(sk.space.n());
+        sk.descend(self.oracle, universe, None, None, on_output);
+        sk.sync_probe_stats();
+    }
+}
+
+/// Build an engine for `oracle`: [`Tetris::with_config`], including the
+/// preload when [`TetrisConfig::preload`] is set. It stays as a function
+/// of its own because the benchmark (`perfbench`) calls it by name to
+/// time the preload apart from the solve.
+pub fn prepare_with_config<O: BoxOracle + ?Sized>(
+    oracle: &O,
+    config: TetrisConfig,
+) -> Tetris<'_, O> {
+    Tetris::with_config(oracle, config)
+}
+
+/// Build the bounded trace channel a config asks for (`None` when
+/// untraced — those runs allocate nothing for tracing).
+fn recorder_for(config: &TetrisConfig) -> Option<obs::FlightRecorder<TraceEvent>> {
+    config
+        .trace
+        .then(|| obs::FlightRecorder::new(obs::DEFAULT_TRACE_CAPACITY))
+}
+
+/// One skeleton descent's state: all a sequential engine mutates, and
+/// all one parallel task mutates.
+pub(crate) struct Skeleton {
+    pub(crate) space: Space,
+    pub(crate) config: TetrisConfig,
+    /// The store the descent writes: the whole knowledge base on a
+    /// sequential run, the task's overlay shard under
+    /// [`Descent::Parallel`].
+    pub(crate) kb: BoxTree,
+    pub(crate) stats: TetrisStats,
+    /// Observability ledger ([`TetrisConfig::obs`] only); the
+    /// `Option<Box<_>>` [`obs::ObsSink`] impl makes each observation
+    /// site a single branch when off.
+    pub(crate) obs: Option<Box<obs::Ledger>>,
+    /// Bounded trace channel ([`TetrisConfig::trace`] only): a
+    /// fixed-capacity ring, so traced runs stay usable at graph scale.
+    /// `None` on untraced runs — they allocate nothing for tracing.
+    trace: Option<obs::FlightRecorder<TraceEvent>>,
+    /// Suspended skeleton invocations, outermost first.
+    pub(crate) stack: Vec<Frame>,
+    /// Incremental probe state of the store whose frontiers frames save
+    /// — the frozen base when there is one, `kb` otherwise: descends
+    /// advance the last failed probe's frontier instead of re-walking.
+    probe: DescentProbe,
+    /// Incremental probe state of `kb` behind a frozen base (idle
+    /// otherwise).
+    kb_probe: DescentProbe,
+    /// Per-frame saved frontiers of `probe` (incremental descents only):
+    /// right-sibling descents restore these and advance+repair instead of
+    /// re-walking the store.
+    frontiers: FrontierStack,
+    /// Witness streaming: the latest resolvent rides here instead of
+    /// being inserted immediately. If the next resolution subsumes it
+    /// (the common unwind shape: each resolvent contains the one it
+    /// consumed), it is dropped without ever touching the store; it is
+    /// flushed the moment the unwind ends, so no probe ever runs against
+    /// a store missing it. Dropping a subsumed box is witness-exact: any
+    /// probe it would answer is answered by the strictly DFS-earlier
+    /// subsuming box (see DESIGN.md). A dropped resolvent never reaches
+    /// `log` either; that is sound because any subset of the log may be
+    /// merged, and exact because its subsuming box escapes every target
+    /// the dropped box escapes.
+    pub(crate) pending: Option<DyadicBox>,
+    /// Novel loads and resolvents, kept for merge-on-return (parallel
+    /// tasks only, capped at [`crate::DEFAULT_MERGE_CAP`]).
+    pub(crate) log: Option<Vec<DyadicBox>>,
+    /// Scratch buffer for oracle answers (reused across probes).
+    hits: Vec<DyadicBox>,
+    /// Scratch buffer for output tuples (reused across outputs).
+    point: Vec<u64>,
+}
+
+impl Skeleton {
+    /// A fresh descent state writing to `kb`.
+    pub(crate) fn new(space: Space, config: TetrisConfig, kb: BoxTree) -> Self {
+        Skeleton {
+            space,
+            config,
+            kb,
+            stats: TetrisStats::new(space.n()),
+            obs: config.obs.then(Box::default),
+            trace: recorder_for(&config),
+            stack: Vec::new(),
+            probe: DescentProbe::new(),
+            kb_probe: DescentProbe::new(),
+            frontiers: FrontierStack::new(),
+            pending: None,
+            log: None,
+            hits: Vec::new(),
+            point: Vec::new(),
         }
     }
 
@@ -312,124 +440,62 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
         }
     }
 
-    /// Whether events tear the descent down (paper-literal Algorithm 2).
-    #[inline]
-    fn restarting(&self) -> bool {
-        self.config.descent == Descent::Restart
-    }
-
-    /// Algorithm 2: run to completion, collecting all output tuples.
-    pub fn run(mut self) -> TetrisOutput {
-        if let Descent::Parallel { threads } = self.config.descent {
-            return crate::parallel::run_parallel(self, threads, false);
-        }
-        let mut tuples = Vec::new();
-        self.drive(|t| {
-            tuples.push(t.to_vec());
-            false
-        });
-        self.sync_probe_stats();
-        TetrisOutput {
-            tuples,
-            stats: self.stats,
-            // Untraced runs carry `None` and allocate nothing here —
-            // `Vec::default()` has capacity 0 (pinned by test).
-            trace: self
-                .trace
-                .map(obs::FlightRecorder::drain)
-                .unwrap_or_default(),
-            obs: self.obs,
+    /// Copy incremental-probe and flight-recorder diagnostics into the
+    /// run counters.
+    pub(crate) fn sync_probe_stats(&mut self) {
+        let (p, q) = (&self.probe, &self.kb_probe);
+        self.stats.probe_advances = p.advances + q.advances;
+        self.stats.probe_repairs = p.repairs + q.repairs;
+        self.stats.probe_repair_fasts = p.repair_fasts + q.repair_fasts;
+        self.stats.probe_full_walks = p.full_walks + q.full_walks;
+        if let Some(r) = &self.trace {
+            self.stats.trace_recorded = r.recorded();
+            self.stats.trace_dropped = r.dropped();
         }
     }
 
-    /// Stream output tuples to a callback instead of materializing them
-    /// (outer-loop mode). Returns the final stats. Under
-    /// [`Descent::Parallel`] the tuples are materialized, merged into
-    /// their deterministic (lexicographic) order, and only then streamed.
-    pub fn for_each_output(mut self, mut f: impl FnMut(&[u64])) -> TetrisStats {
-        if let Descent::Parallel { threads } = self.config.descent {
-            let out = crate::parallel::run_parallel(self, threads, false);
-            for t in &out.tuples {
-                f(t);
-            }
-            return out.stats;
-        }
-        self.drive(|t| {
-            f(t);
-            false
-        });
-        self.sync_probe_stats();
-        self.stats
-    }
-
-    /// Boolean BCP (Definition 3.5): does `B` cover the whole space?
-    /// Stops at the first uncovered output point (under
-    /// [`Descent::Parallel`], at the first output any worker finds — the
-    /// Boolean answer is deterministic either way).
-    pub fn check_cover(mut self) -> (bool, TetrisStats) {
-        if let Descent::Parallel { threads } = self.config.descent {
-            let out = crate::parallel::run_parallel(self, threads, true);
-            return (out.tuples.is_empty(), out.stats);
-        }
-        let mut found = false;
-        self.drive(|_| {
-            found = true;
-            true
-        });
-        self.sync_probe_stats();
-        (!found, self.stats)
-    }
-
-    /// The unified driver: one incremental skeleton descent (Algorithms
-    /// 1+2 fused), with optional paper-literal restarts. `on_output`
-    /// receives each tuple and returns `true` to stop (Boolean mode).
-    fn drive(&mut self, mut on_output: impl FnMut(&[u64]) -> bool) {
-        let universe = DyadicBox::universe(self.space.n());
-        let mut cur = universe;
+    /// The skeleton descent over `target` — the one loop every driver
+    /// runs. It drills into uncovered halves, absorbs uncovered unit
+    /// boxes (outputs go to `on_output`, which returns `true` to stop),
+    /// and unwinds witnesses through the suspended frames, resolving and
+    /// streaming resolvents. Returns a knowledge-base box covering
+    /// `target`, or `None` when `on_output` stopped the run or the task
+    /// was cancelled.
+    ///
+    /// `base` is a frozen store probed before `kb`, and `task` is the
+    /// parallel worker's handle; both are `None` on a sequential run.
+    pub(crate) fn descend<O: BoxOracle + ?Sized>(
+        &mut self,
+        oracle: &O,
+        target: DyadicBox,
+        base: Option<&BoxTree>,
+        task: Option<&WorkerHandle<'_, '_>>,
+        mut on_output: impl FnMut(&[u64]) -> bool,
+    ) -> Option<DyadicBox> {
         // Frame-saved frontiers only pay off when frames persist across
         // events; the restart mode tears the stack down anyway.
-        let saving = !self.restarting();
-        // Witness streaming: the latest resolvent rides here instead of
-        // being inserted immediately. If the next resolution subsumes it
-        // (the common unwind shape: each resolvent contains the one it
-        // consumed), it is dropped without ever touching the store; it is
-        // flushed the moment the unwind ends, so no probe ever runs
-        // against a store missing it. Dropping a subsumed box is
-        // witness-exact: any probe it would answer is answered by the
-        // strictly DFS-earlier subsuming box (see DESIGN.md).
-        let mut pending: Option<DyadicBox> = None;
-        self.stats.restarts += 1;
-        self.emit(|| TraceEvent::Restart);
+        let restarting = self.config.descent == Descent::Restart;
+        let mut cur = target;
         'descend: loop {
             // ── descend: drill into `cur` until a covering witness is
             // known or an uncovered unit box is absorbed.
             let mut witness = loop {
                 self.stats.skeleton_calls += 1;
+                if let Some(hand) = task {
+                    if !self.poll(hand, &cur) {
+                        return self.cancel();
+                    }
+                }
                 let thick = cur.first_thick_dim(&self.space);
                 let probe_dim = thick.unwrap_or(self.space.n() - 1);
                 self.stats.kb_queries += 1;
-                let repairs_before = self.probe.repairs;
-                let hit = self
-                    .kb
-                    .find_containing_tracked(&cur, probe_dim, &mut self.probe);
-                if let Some(l) = &mut self.obs {
-                    l.observe_walk(self.probe.frontier_len() as u64);
-                    if self.probe.repairs > repairs_before {
-                        l.observe_repair(self.probe.last_repair_window);
-                        if self.probe.last_repair_hit {
-                            l.observe_repair_hit_at(nav0(&cur));
-                        }
-                    }
-                }
-                if let Some(a) = hit {
-                    debug_assert_eq!(self.kb.find_containing(&cur), Some(a));
+                if let Some(a) = self.find(base, &cur, probe_dim) {
                     self.emit(|| TraceEvent::CoveredBy {
                         target: cur,
                         witness: a,
                     });
                     break a;
                 }
-                debug_assert!(self.kb.find_containing(&cur).is_none());
                 if let Some(dim) = thick {
                     self.stats.splits += 1;
                     self.emit(|| TraceEvent::Split { target: cur, dim });
@@ -438,8 +504,9 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                         dim: dim as u8,
                         len: iv.len(),
                         w1: None,
+                        donated: None,
                     });
-                    if saving {
+                    if !restarting {
                         // The probe for `cur` just failed, so its frontier
                         // describes this frame's target; the 1-side
                         // descent will restore it instead of re-walking.
@@ -451,13 +518,13 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
                 // Uncovered unit box: absorb it (load its gap boxes or
                 // report it as output), then either resume in place or
                 // tear down and restart per the descent strategy.
-                match self.absorb(&cur, &mut on_output) {
-                    Absorb::Stop => return,
+                match self.absorb(oracle, &cur, restarting, &mut on_output) {
+                    Absorb::Stop => return None,
                     Absorb::Witness(w) => break w,
                     Absorb::Restart => {
                         self.stack.clear();
                         self.frontiers.clear();
-                        cur = universe;
+                        cur = target;
                         self.stats.restarts += 1;
                         self.emit(|| TraceEvent::Restart);
                         continue 'descend;
@@ -466,116 +533,123 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             };
             // ── unwind: feed the witness to the suspended frames.
             loop {
-                let Some(&top) = self.stack.last() else {
-                    debug_assert!(witness.contains(&universe));
-                    if let Some(p) = pending.take() {
-                        if self.kb.insert(&p) {
-                            self.stats.kb_inserts += 1;
-                            if let Some(l) = &mut self.obs {
-                                l.observe_insert_at(nav0(&p));
-                            }
-                        } else if let Some(l) = &mut self.obs {
-                            l.observe_re_resolution_at(nav0(&p));
-                        }
-                    }
-                    return; // the whole space is covered
+                let Some(top) = self.stack.last_mut() else {
+                    debug_assert!(witness.contains(&target));
+                    self.flush();
+                    return Some(witness);
                 };
                 if top.covered_by(&witness, &cur) {
+                    // The whole frame target is covered; a stolen 1-side
+                    // is dead work (its region holds no outputs).
+                    if let Some(cell) = top.donated.take() {
+                        cell.cancel();
+                    }
                     self.stack.pop();
-                    if saving {
+                    if !restarting {
                         self.frontiers.pop();
                     }
                     continue;
                 }
-                let dim = top.dim as usize;
-                match top.w1 {
-                    None => {
-                        // 0-side done; descend into the 1-side.
-                        let parent = top.target(&cur);
-                        self.stack.last_mut().expect("frame just read").w1 = Some(witness);
-                        cur.set(dim, cur.get(dim).truncate(top.len).child(1));
-                        for i in dim + 1..self.space.n() {
-                            cur.set(i, DyadicInterval::lambda());
+                let (dim, len) = (top.dim as usize, top.len);
+                let Some(w1) = top.w1 else {
+                    // 0-side done.
+                    top.w1 = Some(witness);
+                    if let Some(cell) = top.donated.take() {
+                        // The 1-side was stolen: join the thief and unwind
+                        // with its witness, exactly as if this loop had
+                        // descended the 1-side itself.
+                        let hand = task.expect("only parallel tasks donate frames");
+                        match self.join(hand, &cell, &target) {
+                            Some(w) => witness = w,
+                            None => return self.cancel(),
                         }
-                        // Hand the frame's saved frontier to the probe so
-                        // the 1-side's first query advances+repairs it.
-                        // Skipped when the child exhausts the dimension:
-                        // the next probe targets a different dimension and
-                        // could not use the frontier anyway.
-                        if saving && u16::from(top.len) + 1 < u16::from(self.space.width(dim)) {
-                            self.frontiers.restore_top(&parent, &mut self.probe);
-                        }
-                        // Leaving the unwind: materialize the in-flight
-                        // resolvent before the 1-side descent probes.
-                        if let Some(p) = pending.take() {
-                            if self.kb.insert(&p) {
-                                self.stats.kb_inserts += 1;
-                                if let Some(l) = &mut self.obs {
-                                    l.observe_insert_at(nav0(&p));
-                                }
-                            } else if let Some(l) = &mut self.obs {
-                                l.observe_re_resolution_at(nav0(&p));
-                            }
-                        }
-                        continue 'descend;
+                        continue;
                     }
-                    Some(w1) => {
-                        let w = ordered_resolve(&w1, &witness, dim).expect(
-                            "Lemma C.1 invariant violated: witnesses must be ordered-resolvable",
-                        );
-                        self.stats.count_resolution(dim);
-                        if let Some(l) = &mut self.obs {
-                            l.observe_depth(self.stack.len() as u64);
-                            l.observe_resolution_at(nav0(&w));
-                        }
-                        self.emit(|| TraceEvent::Resolve {
-                            w1,
-                            w2: witness,
-                            result: w,
-                            dim,
-                        });
-                        if self.config.cache_resolvents {
-                            match pending.take() {
-                                Some(p) if w.contains(&p) => {
-                                    // Subsumed in flight: never materialized.
-                                    self.stats.kb_insert_skips += 1;
-                                }
-                                Some(p) => {
-                                    if self.kb.insert(&p) {
-                                        self.stats.kb_inserts += 1;
-                                        if let Some(l) = &mut self.obs {
-                                            l.observe_insert_at(nav0(&p));
-                                        }
-                                    } else if let Some(l) = &mut self.obs {
-                                        // The resolvent re-derived a box
-                                        // the store already holds verbatim
-                                        // — the T1.1 re-resolution signal.
-                                        l.observe_re_resolution_at(nav0(&p));
-                                    }
-                                }
-                                None => {}
-                            }
-                            pending = Some(w);
-                        }
-                        witness = w;
-                        // The resolvent covers the target by construction;
-                        // the next loop turn pops the frame.
+                    // Descend into the 1-side.
+                    let parent = top.target(&cur);
+                    cur = parent;
+                    cur.set(dim, parent.get(dim).child(1));
+                    // Hand the frame's saved frontier to the probe so the
+                    // 1-side's first query advances+repairs it. Skipped
+                    // when the child exhausts the dimension: the next
+                    // probe targets a different dimension and could not
+                    // use the frontier anyway.
+                    if !restarting && u16::from(len) + 1 < u16::from(self.space.width(dim)) {
+                        self.frontiers.restore_top(&parent, &mut self.probe);
+                    }
+                    // Leaving the unwind: materialize the in-flight
+                    // resolvent before the 1-side descent probes.
+                    self.flush();
+                    continue 'descend;
+                };
+                let w = ordered_resolve(&w1, &witness, dim)
+                    .expect("Lemma C.1 invariant violated: witnesses must be ordered-resolvable");
+                self.stats.count_resolution(dim);
+                if let Some(l) = &mut self.obs {
+                    l.observe_depth(self.stack.len() as u64);
+                    l.observe_resolution_at(nav0(&w));
+                }
+                self.emit(|| TraceEvent::Resolve {
+                    w1,
+                    w2: witness,
+                    result: w,
+                    dim,
+                });
+                if self.config.cache_resolvents {
+                    // Route the resolvent through the streaming slot: the
+                    // previous one is dropped if subsumed, stored otherwise.
+                    match self.pending.replace(w) {
+                        Some(p) if w.contains(&p) => self.stats.kb_insert_skips += 1,
+                        Some(p) => self.store_resolvent(&p),
+                        None => {}
                     }
                 }
+                // The resolvent covers the target by construction; the
+                // next loop turn pops the frame.
+                witness = w;
             }
         }
     }
 
+    /// The knowledge-base query of one skeleton call: the frozen base
+    /// first (when there is one), then `kb`. Observes the repair window
+    /// of each tracked call and one walk length per query.
+    #[inline]
+    fn find(&mut self, base: Option<&BoxTree>, cur: &DyadicBox, dim: usize) -> Option<DyadicBox> {
+        let front = base.unwrap_or(&self.kb);
+        let mut hit = tracked(front, cur, dim, &mut self.probe, &mut self.obs);
+        let mut walked = self.probe.frontier_len();
+        if hit.is_none() && base.is_some() {
+            hit = tracked(&self.kb, cur, dim, &mut self.kb_probe, &mut self.obs);
+            walked += self.kb_probe.frontier_len();
+        }
+        if let Some(l) = &mut self.obs {
+            l.observe_walk(walked as u64);
+        }
+        debug_assert_eq!(
+            hit,
+            base.and_then(|b| b.find_containing(cur))
+                .or_else(|| self.kb.find_containing(cur))
+        );
+        hit
+    }
+
     /// Handle an uncovered unit box: report it as output or load its
-    /// covering gap boxes.
-    fn absorb(&mut self, cur: &DyadicBox, on_output: &mut impl FnMut(&[u64]) -> bool) -> Absorb {
-        let restarting = self.restarting();
+    /// covering gap boxes. Outputs are decided by the oracle alone, which
+    /// is what makes the parallel output set scheduling-independent.
+    fn absorb<O: BoxOracle + ?Sized>(
+        &mut self,
+        oracle: &O,
+        cur: &DyadicBox,
+        restarting: bool,
+        on_output: &mut impl FnMut(&[u64]) -> bool,
+    ) -> Absorb {
         if restarting {
             self.emit(|| TraceEvent::Uncovered(*cur));
         }
         self.stats.oracle_probes += 1;
         let mut hits = std::mem::take(&mut self.hits);
-        self.oracle.boxes_containing_into(cur, &mut hits);
+        oracle.boxes_containing_into(cur, &mut hits);
         let out = if hits.is_empty() {
             self.stats.outputs += 1;
             self.emit(|| TraceEvent::Output(*cur));
@@ -583,12 +657,7 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             cur.write_point(&self.space, &mut point);
             let stop = on_output(&point);
             self.point = point;
-            if self.kb.insert(cur) {
-                self.stats.kb_inserts += 1;
-                if let Some(l) = &mut self.obs {
-                    l.observe_insert_at(nav0(cur));
-                }
-            }
+            self.insert(cur);
             if stop {
                 Absorb::Stop
             } else if restarting {
@@ -601,45 +670,102 @@ impl<'o, O: BoxOracle + ?Sized> Tetris<'o, O> {
             self.emit(|| TraceEvent::Load { probe: *cur, count });
             for h in &hits {
                 debug_assert!(h.contains(cur), "oracle returned a non-covering box");
-                if self.kb.insert(h) {
-                    self.stats.kb_inserts += 1;
+                if self.insert(h) {
                     self.stats.loaded_boxes += 1;
-                    if let Some(l) = &mut self.obs {
-                        l.observe_insert_at(nav0(h));
-                    }
+                    self.remember(h);
                 }
             }
             if restarting {
                 Absorb::Restart
             } else {
-                Absorb::Witness(best_witness(&hits, cur, &self.space, &self.stack, |f| f))
+                Absorb::Witness(best_witness(&hits, cur, &self.space, &self.stack))
             }
         };
         self.hits = hits;
         out
     }
+
+    /// Insert `b` into `kb`, counting and attributing it when novel.
+    /// Returns whether it was.
+    #[inline]
+    pub(crate) fn insert(&mut self, b: &DyadicBox) -> bool {
+        let novel = self.kb.insert(b);
+        if novel {
+            self.stats.kb_inserts += 1;
+            if let Some(l) = &mut self.obs {
+                l.observe_insert_at(nav0(b));
+            }
+        }
+        novel
+    }
+
+    /// Store a resolvent. A duplicate re-derived a box `kb` already holds
+    /// verbatim — the T1.1 re-resolution signal. (A parallel task's
+    /// frozen base is not consulted, so a cross-task duplicate does not
+    /// count; sequential runs carry the exact figure.)
+    fn store_resolvent(&mut self, p: &DyadicBox) {
+        if self.insert(p) {
+            self.remember(p);
+        } else if let Some(l) = &mut self.obs {
+            l.observe_re_resolution_at(nav0(p));
+        }
+    }
+
+    /// Materialize the in-flight resolvent (no-op when none is pending).
+    fn flush(&mut self) {
+        if let Some(p) = self.pending.take() {
+            self.store_resolvent(&p);
+        }
+    }
+
+    /// Log a novel insert for merge-on-return (parallel tasks only).
+    #[inline]
+    pub(crate) fn remember(&mut self, b: &DyadicBox) {
+        if let Some(log) = &mut self.log {
+            if log.len() < crate::DEFAULT_MERGE_CAP {
+                log.push(*b);
+            }
+        }
+    }
+}
+
+/// One tracked containment query against `store`, observing its repair
+/// window (a call repairs at most once, so the repair histogram's total
+/// equals `probe_repairs` exactly).
+#[inline]
+fn tracked(
+    store: &BoxTree,
+    cur: &DyadicBox,
+    dim: usize,
+    probe: &mut DescentProbe,
+    obs: &mut Option<Box<obs::Ledger>>,
+) -> Option<DyadicBox> {
+    let repairs = probe.repairs;
+    let hit = store.find_containing_tracked(cur, dim, probe);
+    if let Some(l) = obs {
+        if probe.repairs > repairs {
+            l.observe_repair(probe.last_repair_window);
+            if probe.last_repair_hit {
+                l.observe_repair_hit_at(nav0(cur));
+            }
+        }
+    }
+    hit
 }
 
 /// Choose, among the freshly loaded boxes `hits`, the one invalidating
 /// the largest suffix of the live descent `stack` (outermost frame
-/// first, each read through `frame`): the box covering the *shallowest*
-/// suspended frame, ties broken by geometric volume. Unwinding with it
-/// collapses exactly the branch the new knowledge covers and no more.
-/// The sequential and the parallel driver share this policy.
-pub(crate) fn best_witness<F>(
-    hits: &[DyadicBox],
-    cur: &DyadicBox,
-    space: &Space,
-    stack: &[F],
-    frame: impl Fn(&F) -> &Frame,
-) -> DyadicBox {
+/// first): the box covering the *shallowest* suspended frame, ties broken
+/// by geometric volume. Unwinding with it collapses exactly the branch
+/// the new knowledge covers and no more.
+fn best_witness(hits: &[DyadicBox], cur: &DyadicBox, space: &Space, stack: &[Frame]) -> DyadicBox {
     debug_assert!(!hits.is_empty());
     let mut best = hits[0];
     let mut best_depth = usize::MAX;
     for h in hits {
         // Frames are nested, so coverage is monotone down the stack:
         // binary-search the shallowest covered frame.
-        let depth = stack.partition_point(|f| !frame(f).covered_by(h, cur));
+        let depth = stack.partition_point(|f| !f.covered_by(h, cur));
         if depth < best_depth || (depth == best_depth && h.volume(space) > best.volume(space)) {
             best = *h;
             best_depth = depth;
@@ -659,62 +785,6 @@ enum Absorb {
     Witness(DyadicBox),
     /// Tear down the stack and restart from the universe.
     Restart,
-}
-
-/// A fully built engine behind a trait object: the knowledge base is
-/// preloaded (when the config asks), and exactly one terminal call
-/// remains. [`prepare_with_config`] builds it, so callers can time the
-/// preload (that call) and the solve (the terminal call) separately
-/// without naming the oracle type in the engine's.
-///
-/// The terminal methods consume the engine (`Box<Self>`), mirroring the
-/// by-value [`Tetris::run`] family.
-pub trait PreparedEngine<'o> {
-    /// Run the full pass, materializing output tuples.
-    fn run(self: Box<Self>) -> TetrisOutput;
-    /// Run the full pass streaming tuples to `f`; returns final stats.
-    fn for_each_output(self: Box<Self>, f: &mut dyn FnMut(&[u64])) -> TetrisStats;
-    /// Boolean Box Cover Problem: stop at the first witness tuple.
-    fn check_cover(self: Box<Self>) -> (bool, TetrisStats);
-    /// Boxes currently in the knowledge base (after any preload).
-    fn knowledge_size(&self) -> usize;
-    /// The knowledge base's memory ledger ([`BoxTree::mem_stats`]):
-    /// arena nodes, exact bytes, deepest link chain. Cheap relative to a
-    /// solve but it walks every node — meant for once-per-run reporting,
-    /// not the hot path.
-    fn mem_stats(&self) -> obs::MemStats;
-}
-
-impl<'o, O: BoxOracle + ?Sized> PreparedEngine<'o> for Tetris<'o, O> {
-    fn run(self: Box<Self>) -> TetrisOutput {
-        (*self).run()
-    }
-
-    fn for_each_output(self: Box<Self>, f: &mut dyn FnMut(&[u64])) -> TetrisStats {
-        (*self).for_each_output(f)
-    }
-
-    fn check_cover(self: Box<Self>) -> (bool, TetrisStats) {
-        (*self).check_cover()
-    }
-
-    fn knowledge_size(&self) -> usize {
-        Tetris::knowledge_size(self)
-    }
-
-    fn mem_stats(&self) -> obs::MemStats {
-        self.kb.mem_stats()
-    }
-}
-
-/// Build an engine for `oracle` — [`Tetris::with_config`], including the
-/// preload when [`TetrisConfig::preload`] is set — behind a
-/// [`PreparedEngine`] trait object.
-pub fn prepare_with_config<'o, O: BoxOracle + ?Sized>(
-    oracle: &'o O,
-    config: TetrisConfig,
-) -> Box<dyn PreparedEngine<'o> + 'o> {
-    Box::new(Tetris::with_config(oracle, config))
 }
 
 #[cfg(test)]
@@ -760,10 +830,15 @@ mod tests {
         // ⟨λ,λ⟩, ⟨0,λ⟩, ⟨00,λ⟩, ⟨00,0⟩. ⟨00,0⟩, ⟨0,0⟩ and ⟨λ,0⟩ all cover
         // the last frame and no shallower one; ⟨λ,0⟩ is the largest.
         let space = Space::uniform(2, 2);
-        let frame = |dim, len| Frame { dim, len, w1: None };
+        let frame = |dim, len| Frame {
+            dim,
+            len,
+            w1: None,
+            donated: None,
+        };
         let stack = [frame(0, 0), frame(0, 1), frame(1, 0), frame(1, 1)];
         let hits = [b("00,00"), b("00,0"), b("λ,0"), b("0,0")];
-        let best = best_witness(&hits, &b("00,00"), &space, &stack, |f| f);
+        let best = best_witness(&hits, &b("00,00"), &space, &stack);
         assert_eq!(best, b("λ,0"));
     }
 

@@ -56,9 +56,7 @@ mod parallel;
 mod stats;
 mod trace;
 
-pub use engine::{
-    prepare_with_config, Descent, PreparedEngine, Tetris, TetrisConfig, TetrisOutput,
-};
+pub use engine::{prepare_with_config, Descent, Tetris, TetrisConfig, TetrisOutput};
 pub use parallel::DEFAULT_MERGE_CAP;
 pub use stats::TetrisStats;
 pub use trace::TraceEvent;

@@ -1,6 +1,10 @@
 //! The parallel skeleton descent (`Descent::Parallel`): Tetris's outer
-//! loop spread over a work-stealing thread pool. The frozen base
-//! knowledge base and every per-task overlay shard are [`BoxTree`]s.
+//! loop spread over a work-stealing thread pool. Every task runs the
+//! engine's one skeleton loop (`Skeleton::descend` in `engine.rs`); this
+//! module holds only what a schedule adds to it — the pool, the task and
+//! rendezvous types, donation, the join with its merge-on-return, and
+//! cancellation. The frozen base knowledge base and every per-task
+//! overlay shard are [`BoxTree`]s.
 //!
 //! # Why the output set cannot change
 //!
@@ -31,16 +35,16 @@
 //!   `TetrisStats::par_shard_allocs` counts the allocations that remain.
 //! * **Deterministic merge.** When the donor's unwind reaches a donated
 //!   frame it joins the thief ([`executor::Worker::help_while`] — it
-//!   runs other tasks while waiting) and then treats the thief's
-//!   returned witness exactly as the sequential unwind treats a 1-side
-//!   witness: pop if it covers the frame's target, otherwise
-//!   `ordered_resolve` it against the saved 0-side witness. If the
-//!   frame's target is covered before the thief finishes, the thief is
-//!   cancelled — its region is covered, so it cannot have produced (and
-//!   can never produce) an output. Finally, every task's outputs are
-//!   merged by sorting: the sequential descent emits tuples in
-//!   lexicographic order, so the sorted union over the partition *is*
-//!   the sequential output sequence, independent of scheduling.
+//!   runs other tasks while waiting), records its own 0-side witness as
+//!   the frame's `w1`, and unwinds on with the thief's witness — so the
+//!   loop's ordinary pop-or-resolve step treats it exactly as a 1-side
+//!   witness it found itself. If the frame's target is covered
+//!   before the thief finishes, the thief is cancelled — its region is
+//!   covered, so it cannot have produced (and can never produce) an
+//!   output. Finally, every task's outputs are merged by sorting: the
+//!   sequential descent emits tuples in lexicographic order, so the
+//!   sorted union over the partition *is* the sequential output
+//!   sequence, independent of scheduling.
 //!
 //! What may vary with scheduling is the **cost model**: a cancelled
 //! thief still spent resolutions, a donated subtree resolves against a
@@ -48,10 +52,10 @@
 //! stats-regression wall pins `outputs` (and the tuples themselves) and
 //! documents every other counter as scheduling-dependent.
 
-use crate::engine::{best_witness, nav0, Frame, Tetris, TetrisOutput};
-use crate::TetrisStats;
-use boxstore::{BoxOracle, BoxTree, DescentProbe, FrontierStack};
-use dyadic::{resolve::ordered_resolve, DyadicBox, DyadicInterval, Space};
+use crate::engine::{Skeleton, Tetris, TetrisOutput};
+use crate::{TetrisConfig, TetrisStats};
+use boxstore::{BoxOracle, BoxTree};
+use dyadic::{DyadicBox, Space};
 use executor::{Pool, Worker};
 use obs::{Ledger, ObsSink, Phase};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,14 +79,14 @@ const SCRATCH_CAP: usize = 4;
 /// One donated subtree: the half-box target plus the shard seeded from
 /// the donor's overlay. `cell` carries the result back (absent only for
 /// the root task, whose witness nobody joins).
-struct Task {
+pub(crate) struct Task {
     target: DyadicBox,
     shard: BoxTree,
     cell: Option<Arc<DonationCell>>,
 }
 
 /// The rendezvous between a donor frame and its thief.
-struct DonationCell {
+pub(crate) struct DonationCell {
     /// Set by the thief once `outcome` is written.
     done: AtomicBool,
     /// Set by the donor when the frame's target got covered (the stolen
@@ -99,18 +103,21 @@ impl DonationCell {
             outcome: Mutex::new(None),
         }
     }
+
+    /// Tell the thief its subtree is no longer wanted.
+    pub(crate) fn cancel(&self) {
+        self.cancel.store(true, Ordering::Relaxed);
+    }
 }
 
 /// What a completed task reports back to its donor.
 struct Outcome {
-    /// A knowledge-base box covering the task's whole target (meaningful
-    /// only when `cancelled` is false).
-    witness: DyadicBox,
+    /// A knowledge-base box covering the task's whole target; `None`
+    /// when the task observed a cancellation and unwound early.
+    witness: Option<DyadicBox>,
     /// Boxes the task inserted that reach *outside* its target — loads
     /// and resolvents the donor can reuse (merge-on-return).
     inserts: Vec<DyadicBox>,
-    /// The task observed a cancellation and unwound early.
-    cancelled: bool,
     /// The task's overlay store, handed back for reuse.
     shard: BoxTree,
 }
@@ -124,13 +131,10 @@ type TaskReport = (Vec<Vec<u64>>, TetrisStats, Option<Box<Ledger>>);
 struct ParCtx<'a, O: BoxOracle + ?Sized> {
     oracle: &'a O,
     space: Space,
+    config: TetrisConfig,
     /// The pre-descent knowledge base (preloaded gap set, or empty for
     /// reloaded mode), frozen for the duration of the run.
     base: &'a BoxTree,
-    cache_resolvents: bool,
-    /// Each task carries its own [`Ledger`] when set (merged at report
-    /// collection — the hot path never shares one).
-    obs: bool,
     /// Boolean mode: flip `stop` at the first output anywhere.
     stop_on_first: bool,
     stop: &'a AtomicBool,
@@ -142,10 +146,30 @@ struct ParCtx<'a, O: BoxOracle + ?Sized> {
     reports: &'a Mutex<Vec<TaskReport>>,
 }
 
-impl<O: BoxOracle + ?Sized> ParCtx<'_, O> {
-    /// Hand a retired shard back to `worker`'s pool (dropped when full).
-    fn retire_shard(&self, worker: usize, shard: BoxTree) {
-        let mut pool = self.scratch[worker].lock().expect("scratch lock poisoned");
+/// A running task's handle on the pool — the one input that lets the
+/// skeleton loop stop, donate and join.
+pub(crate) struct WorkerHandle<'a, 's> {
+    worker: &'a Worker<'s, Task>,
+    stop: &'a AtomicBool,
+    scratch: &'a [Mutex<Vec<BoxTree>>],
+    /// This task's own rendezvous (absent for the root task).
+    cell: Option<&'a DonationCell>,
+}
+
+impl WorkerHandle<'_, '_> {
+    /// Whether this task must unwind early: the run is stopping or its
+    /// donor cancelled it.
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+            || self.cell.is_some_and(|c| c.cancel.load(Ordering::Relaxed))
+    }
+
+    /// Hand a retired shard back to this worker's pool (dropped when
+    /// full).
+    fn retire(&self, shard: BoxTree) {
+        let mut pool = self.scratch[self.worker.index()]
+            .lock()
+            .expect("scratch lock poisoned");
         if pool.len() < SCRATCH_CAP {
             pool.push(shard);
         }
@@ -164,15 +188,15 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
     } else {
         threads
     };
-    let Tetris {
-        oracle,
+    let Tetris { oracle, sk } = engine;
+    let Skeleton {
         space,
-        kb,
         config,
+        kb,
         mut stats,
         obs: mut run_obs,
         ..
-    } = engine;
+    } = sk;
     assert!(
         !config.trace,
         "tracing is not supported under Descent::Parallel (event order \
@@ -184,9 +208,8 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
     let ctx = ParCtx {
         oracle,
         space,
+        config,
         base: &kb,
-        cache_resolvents: config.cache_resolvents,
-        obs: config.obs,
         stop_on_first,
         stop: &stop,
         scratch: &scratch,
@@ -224,428 +247,117 @@ pub(crate) fn run_parallel<O: BoxOracle + ?Sized>(
     }
 }
 
-/// A frame of the parallel descent: the sequential [`Frame`] plus the
-/// rendezvous handle when its 1-side has been donated.
-struct ParFrame {
-    frame: Frame,
-    donated: Option<Arc<DonationCell>>,
-}
-
-/// One task's descent state: a lean re-instantiation of the sequential
-/// incremental driver against (frozen base ∪ overlay shard).
-struct SubEngine {
-    shard: BoxTree,
-    stack: Vec<ParFrame>,
-    /// Probe state against the frozen base: saved frontiers never need
-    /// repair here, because the base cannot change mid-run.
-    base_probe: DescentProbe,
-    frontiers: FrontierStack,
-    /// Probe state against the (small, mutating) overlay shard.
-    shard_probe: DescentProbe,
-    stats: TetrisStats,
-    outputs: Vec<Vec<u64>>,
-    /// Inserted boxes that escape the task's target (merge-on-return).
-    inserts: Vec<DyadicBox>,
-    /// Witness streaming (see the sequential driver): the latest
-    /// resolvent, not yet materialized in the shard. Dropped when the
-    /// next resolvent subsumes it, flushed whenever the unwind ends —
-    /// so the shard is complete before any probe. A dropped resolvent
-    /// also never reaches the merge-on-return log; that is sound because
-    /// any subset of the log may be merged, and exact because its
-    /// subsuming box escapes every target the dropped box escapes.
-    pending: Option<DyadicBox>,
-    hits: Vec<DyadicBox>,
-    point: Vec<u64>,
-    cancelled: bool,
-    /// This task's private observability ledger (`ParCtx::obs` only).
-    obs: Option<Box<Ledger>>,
-}
-
+/// Run one task: the skeleton descent over its target, against (frozen
+/// base ∪ its overlay shard), then report back.
 fn run_task<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, task: Task, worker: &Worker<'_, Task>) {
-    let n = ctx.space.n();
-    let (target, shard, cell) = (task.target, task.shard, task.cell);
-    let mut eng = SubEngine {
+    let Task {
+        target,
         shard,
-        stack: Vec::new(),
-        base_probe: DescentProbe::new(),
-        frontiers: FrontierStack::new(),
-        shard_probe: DescentProbe::new(),
-        stats: TetrisStats::new(n),
-        outputs: Vec::new(),
-        inserts: Vec::new(),
-        pending: None,
-        hits: Vec::new(),
-        point: Vec::new(),
-        cancelled: false,
-        obs: ctx.obs.then(Box::default),
+        cell,
+    } = task;
+    let mut sk = Skeleton::new(ctx.space, ctx.config, shard);
+    sk.log = Some(Vec::new());
+    let hand = WorkerHandle {
+        worker,
+        stop: ctx.stop,
+        scratch: ctx.scratch,
+        cell: cell.as_deref(),
     };
+    let mut outputs = Vec::new();
     // Time the task slice (root task or served donation) around the
     // descent only — donation seeding and joins inside it count toward
     // the slice, the report bookkeeping below does not.
-    let slice_start = ctx.obs.then(std::time::Instant::now);
-    let witness = eng.descend(ctx, worker, target, cell.as_deref());
-    if let (Some(t0), Some(l)) = (slice_start, &mut eng.obs) {
+    let slice_start = ctx.config.obs.then(std::time::Instant::now);
+    let witness = sk.descend(ctx.oracle, target, Some(ctx.base), Some(&hand), |t| {
+        outputs.push(t.to_vec());
+        if ctx.stop_on_first {
+            ctx.stop.store(true, Ordering::Relaxed);
+        }
+        false
+    });
+    if let (Some(t0), Some(l)) = (slice_start, &mut sk.obs) {
         l.record_span(Phase::Task, t0.elapsed().as_secs_f64());
     }
-    eng.stats.par_tasks = 1;
-    eng.stats.probe_advances = eng.base_probe.advances + eng.shard_probe.advances;
-    eng.stats.probe_repairs = eng.base_probe.repairs + eng.shard_probe.repairs;
-    eng.stats.probe_repair_fasts = eng.base_probe.repair_fasts + eng.shard_probe.repair_fasts;
-    eng.stats.probe_full_walks = eng.base_probe.full_walks + eng.shard_probe.full_walks;
-    let shard = eng.shard;
+    sk.stats.par_tasks = 1;
+    sk.sync_probe_stats();
+    let Skeleton {
+        kb: shard,
+        stats,
+        obs,
+        log,
+        ..
+    } = sk;
     if let Some(cell) = &cell {
-        let mut inserts = std::mem::take(&mut eng.inserts);
+        let mut inserts = log.unwrap_or_default();
         // Only facts escaping this task's region can matter to the donor.
         inserts.retain(|b| !target.contains(b));
         *cell.outcome.lock().expect("outcome lock poisoned") = Some(Outcome {
             witness,
             inserts,
-            cancelled: eng.cancelled,
             shard,
         });
         cell.done.store(true, Ordering::Release);
     } else {
         // The root task has no donor to hand its overlay back to.
-        ctx.retire_shard(worker.index(), shard);
+        hand.retire(shard);
     }
     ctx.reports
         .lock()
         .expect("report lock poisoned")
-        .push((eng.outputs, eng.stats, eng.obs));
+        .push((outputs, stats, obs));
 }
 
-impl SubEngine {
-    /// Run the descent over `target`; returns a witness covering the
-    /// whole target (or a placeholder when cancelled — a cancelled task's
-    /// witness is never read, because its donor is itself unwinding).
-    fn descend<O: BoxOracle + ?Sized>(
-        &mut self,
-        ctx: &ParCtx<'_, O>,
-        worker: &Worker<'_, Task>,
-        target: DyadicBox,
-        cell: Option<&DonationCell>,
-    ) -> DyadicBox {
-        let mut cur = target;
-        'descend: loop {
-            // ── descend until a covering witness is known.
-            let mut witness = loop {
-                self.stats.skeleton_calls += 1;
-                if self.stats.skeleton_calls & CHECK_MASK == 0 {
-                    if stopping(ctx, cell) {
-                        return self.unwind_cancelled(target);
-                    }
-                    if worker.hungry() {
-                        self.donate(ctx, worker, &cur);
-                    }
-                }
-                let thick = cur.first_thick_dim(&ctx.space);
-                let probe_dim = thick.unwrap_or(ctx.space.n() - 1);
-                self.stats.kb_queries += 1;
-                if let Some(a) = self.probe(ctx, &cur, probe_dim) {
-                    break a;
-                }
-                if let Some(dim) = thick {
-                    self.stats.splits += 1;
-                    let iv = cur.get(dim);
-                    self.stack.push(ParFrame {
-                        frame: Frame {
-                            dim: dim as u8,
-                            len: iv.len(),
-                            w1: None,
-                        },
-                        donated: None,
-                    });
-                    self.frontiers.push_saved(&self.base_probe);
-                    cur.set(dim, iv.child(0));
-                    continue;
-                }
-                break self.absorb(ctx, &cur);
-            };
-            // ── unwind: feed the witness to the suspended frames.
-            loop {
-                let Some(top) = self.stack.last() else {
-                    debug_assert!(
-                        witness.contains(&target),
-                        "subtree witness must cover the task target"
-                    );
-                    self.flush_pending();
-                    return witness;
-                };
-                let frame = top.frame;
-                if frame.covered_by(&witness, &cur) {
-                    // The whole frame target is covered; a stolen 1-side
-                    // is dead work (its region holds no outputs).
-                    if let Some(cell) = &top.donated {
-                        cell.cancel.store(true, Ordering::Relaxed);
-                    }
-                    self.stack.pop();
-                    self.frontiers.pop();
-                    continue;
-                }
-                let dim = frame.dim as usize;
-                match frame.w1 {
-                    None => {
-                        if let Some(dcell) = self.stack.last().and_then(|f| f.donated.clone()) {
-                            // 0-side done, 1-side stolen: join the thief.
-                            let w0 = witness;
-                            let Some(out1) = self.join(ctx, worker, cell, &dcell) else {
-                                return self.unwind_cancelled(target);
-                            };
-                            self.merge_returned(&target, out1.inserts);
-                            ctx.retire_shard(worker.index(), out1.shard);
-                            let w1 = out1.witness;
-                            if frame.covered_by(&w1, &cur) {
-                                self.stack.pop();
-                                self.frontiers.pop();
-                                witness = w1;
-                                continue;
-                            }
-                            let w = ordered_resolve(&w0, &w1, dim).expect(
-                                "Lemma C.1 invariant violated: donated witnesses \
-                                 must be ordered-resolvable",
-                            );
-                            self.stats.count_resolution(dim);
-                            if let Some(l) = &mut self.obs {
-                                l.observe_depth(self.stack.len() as u64);
-                                l.observe_resolution_at(nav0(&w));
-                            }
-                            if ctx.cache_resolvents {
-                                self.stream_resolvent(w);
-                            }
-                            witness = w;
-                            continue; // the resolvent covers the target
-                        }
-                        // 0-side done; descend into the 1-side ourselves.
-                        let parent = frame.target(&cur);
-                        self.stack.last_mut().expect("frame just read").frame.w1 = Some(witness);
-                        cur.set(dim, cur.get(dim).truncate(frame.len).child(1));
-                        for i in dim + 1..ctx.space.n() {
-                            cur.set(i, DyadicInterval::lambda());
-                        }
-                        if usize::from(frame.len) + 1 < usize::from(ctx.space.width(dim)) {
-                            self.frontiers.restore_top(&parent, &mut self.base_probe);
-                        }
-                        // Leaving the unwind: materialize the in-flight
-                        // resolvent before the 1-side descent probes.
-                        self.flush_pending();
-                        continue 'descend;
-                    }
-                    Some(w1) => {
-                        let w = ordered_resolve(&w1, &witness, dim).expect(
-                            "Lemma C.1 invariant violated: witnesses must be \
-                             ordered-resolvable",
-                        );
-                        self.stats.count_resolution(dim);
-                        if let Some(l) = &mut self.obs {
-                            l.observe_depth(self.stack.len() as u64);
-                            l.observe_resolution_at(nav0(&w));
-                        }
-                        if ctx.cache_resolvents {
-                            self.stream_resolvent(w);
-                        }
-                        witness = w;
-                    }
-                }
-            }
+impl Skeleton {
+    /// The periodic check of a running task (every `CHECK_MASK + 1`
+    /// skeleton calls): `false` when the task must unwind early;
+    /// donates a pending frame when the pool is hungry.
+    #[inline]
+    pub(crate) fn poll(&mut self, hand: &WorkerHandle<'_, '_>, cur: &DyadicBox) -> bool {
+        if self.stats.skeleton_calls & CHECK_MASK != 0 {
+            return true;
         }
-    }
-
-    /// Probe the frozen base first (bigger boxes, frontier-advanced),
-    /// then the overlay shard.
-    fn probe<O: BoxOracle + ?Sized>(
-        &mut self,
-        ctx: &ParCtx<'_, O>,
-        cur: &DyadicBox,
-        probe_dim: usize,
-    ) -> Option<DyadicBox> {
-        // Repairs are observed per tracked call (a call repairs at most
-        // once), so the repair histogram's total equals `probe_repairs`
-        // exactly; the walk histogram gets one observation per KB query
-        // — the frontier entries across whichever probes ran for it.
-        let base_repairs = self.base_probe.repairs;
-        let hit = ctx
-            .base
-            .find_containing_tracked(cur, probe_dim, &mut self.base_probe);
-        if let Some(l) = &mut self.obs {
-            if self.base_probe.repairs > base_repairs {
-                l.observe_repair(self.base_probe.last_repair_window);
-                if self.base_probe.last_repair_hit {
-                    l.observe_repair_hit_at(nav0(cur));
-                }
-            }
+        if hand.stopping() {
+            return false;
         }
-        if let Some(a) = hit {
-            if let Some(l) = &mut self.obs {
-                l.observe_walk(self.base_probe.frontier_len() as u64);
-            }
-            return Some(a);
+        if hand.worker.hungry() {
+            self.donate(hand, cur);
         }
-        let shard_repairs = self.shard_probe.repairs;
-        let hit = self
-            .shard
-            .find_containing_tracked(cur, probe_dim, &mut self.shard_probe);
-        if let Some(l) = &mut self.obs {
-            if self.shard_probe.repairs > shard_repairs {
-                l.observe_repair(self.shard_probe.last_repair_window);
-                if self.shard_probe.last_repair_hit {
-                    l.observe_repair_hit_at(nav0(cur));
-                }
-            }
-            l.observe_walk(
-                (self.base_probe.frontier_len() + self.shard_probe.frontier_len()) as u64,
-            );
-        }
-        hit
-    }
-
-    /// Handle an uncovered unit box: output it or load its gap boxes —
-    /// outputs are decided by the oracle alone, which is what makes the
-    /// parallel output set scheduling-independent.
-    fn absorb<O: BoxOracle + ?Sized>(&mut self, ctx: &ParCtx<'_, O>, cur: &DyadicBox) -> DyadicBox {
-        self.stats.oracle_probes += 1;
-        let mut hits = std::mem::take(&mut self.hits);
-        ctx.oracle.boxes_containing_into(cur, &mut hits);
-        let w = if hits.is_empty() {
-            self.stats.outputs += 1;
-            let mut point = std::mem::take(&mut self.point);
-            cur.write_point(&ctx.space, &mut point);
-            self.outputs.push(point.clone());
-            self.point = point;
-            if self.shard.insert(cur) {
-                self.stats.kb_inserts += 1;
-                if let Some(l) = &mut self.obs {
-                    l.observe_insert_at(nav0(cur));
-                }
-            }
-            if ctx.stop_on_first {
-                ctx.stop.store(true, Ordering::Relaxed);
-            }
-            *cur
-        } else {
-            for h in &hits {
-                debug_assert!(h.contains(cur), "oracle returned a non-covering box");
-                if self.shard.insert(h) {
-                    self.stats.kb_inserts += 1;
-                    self.stats.loaded_boxes += 1;
-                    if let Some(l) = &mut self.obs {
-                        l.observe_insert_at(nav0(h));
-                    }
-                    if self.inserts.len() < DEFAULT_MERGE_CAP {
-                        self.inserts.push(*h);
-                    }
-                }
-            }
-            best_witness(&hits, cur, &ctx.space, &self.stack, |pf| &pf.frame)
-        };
-        self.hits = hits;
-        w
-    }
-
-    /// Insert a resolvent into the shard, logging it for merge-on-return.
-    fn insert_shard(&mut self, w: &DyadicBox) {
-        if self.shard.insert(w) {
-            self.stats.kb_inserts += 1;
-            if let Some(l) = &mut self.obs {
-                l.observe_insert_at(nav0(w));
-            }
-            if self.inserts.len() < DEFAULT_MERGE_CAP {
-                self.inserts.push(*w);
-            }
-        } else if let Some(l) = &mut self.obs {
-            // The resolvent re-derived a box this task's shard already
-            // holds verbatim — the per-task re-resolution signal (the
-            // frozen base is not consulted, so a cross-task duplicate
-            // does not count; the attribution wall's sequential runs
-            // carry the exact figure).
-            l.observe_re_resolution_at(nav0(w));
-        }
-    }
-
-    /// Route a fresh resolvent through the streaming slot: the previous
-    /// one is dropped if subsumed, materialized otherwise.
-    fn stream_resolvent(&mut self, w: DyadicBox) {
-        match self.pending.take() {
-            Some(p) if w.contains(&p) => self.stats.kb_insert_skips += 1,
-            Some(p) => self.insert_shard(&p),
-            None => {}
-        }
-        self.pending = Some(w);
-    }
-
-    /// Materialize the in-flight resolvent (no-op when none is pending).
-    fn flush_pending(&mut self) {
-        if let Some(p) = self.pending.take() {
-            self.insert_shard(&p);
-        }
-    }
-
-    /// Merge a finished thief's insert log into this shard — resolvents
-    /// and loads that escape the thief's target can answer the donor's
-    /// future probes.
-    fn merge_returned(&mut self, target: &DyadicBox, inserts: Vec<DyadicBox>) {
-        for b in inserts {
-            if self.shard.insert(&b) {
-                self.stats.kb_inserts += 1;
-                // Merge-on-return copies are real store inserts (they
-                // count toward `kb_inserts`) but not re-derivations, so
-                // a duplicate here is *not* a re-resolution.
-                if let Some(l) = &mut self.obs {
-                    l.observe_insert_at(nav0(&b));
-                }
-                // Propagate further up the donation chain if it also
-                // escapes *our* target.
-                if !target.contains(&b) && self.inserts.len() < DEFAULT_MERGE_CAP {
-                    self.inserts.push(b);
-                }
-            }
-        }
+        true
     }
 
     /// Donate the shallowest pending (0-side-in-progress, not yet
     /// donated, non-trivial) frame's 1-side to the pool, seeding its
     /// shard from a recycled scratch store when one is available.
-    fn donate<O: BoxOracle + ?Sized>(
-        &mut self,
-        ctx: &ParCtx<'_, O>,
-        worker: &Worker<'_, Task>,
-        cur: &DyadicBox,
-    ) {
-        let n = ctx.space.n();
-        for pf in self.stack.iter_mut() {
-            if pf.frame.w1.is_some() || pf.donated.is_some() {
+    fn donate(&mut self, hand: &WorkerHandle<'_, '_>, cur: &DyadicBox) {
+        let n = self.space.n();
+        for f in self.stack.iter_mut() {
+            if f.w1.is_some() || f.donated.is_some() {
                 continue;
             }
-            let f = pf.frame;
             let dim = f.dim as usize;
-            let mut side1 = *cur;
-            side1.set(dim, cur.get(dim).truncate(f.len).child(1));
-            for i in dim + 1..n {
-                side1.set(i, DyadicInterval::lambda());
-            }
-            if side1.first_thick_dim(&ctx.space).is_none() {
+            let mut side1 = f.target(cur);
+            side1.set(dim, side1.get(dim).child(1));
+            if side1.first_thick_dim(&self.space).is_none() {
                 continue; // a unit box is not worth a task
             }
-            let mut seed = match ctx.scratch[worker.index()]
+            let recycled = hand.scratch[hand.worker.index()]
                 .lock()
                 .expect("scratch lock poisoned")
-                .pop()
-            {
-                Some(s) => s,
-                None => {
-                    self.stats.par_shard_allocs += 1;
-                    BoxTree::new(n)
-                }
-            };
+                .pop();
+            let mut seed = recycled.unwrap_or_else(|| {
+                self.stats.par_shard_allocs += 1;
+                BoxTree::new(n)
+            });
             // `extract_intersecting_into` clears the shard before
             // refilling, so a recycled store starts exact.
-            self.shard.extract_intersecting_into(&side1, &mut seed);
+            self.kb.extract_intersecting_into(&side1, &mut seed);
             if let Some(l) = &mut self.obs {
                 l.observe_donation(seed.len() as u64);
             }
             let cell = Arc::new(DonationCell::new());
-            pf.donated = Some(cell.clone());
+            f.donated = Some(cell.clone());
             self.stats.par_donations += 1;
-            worker.spawn(Task {
+            hand.worker.spawn(Task {
                 target: side1,
                 shard: seed,
                 cell: Some(cell),
@@ -654,52 +366,64 @@ impl SubEngine {
         }
     }
 
-    /// Join a donated frame: run other tasks while the thief finishes.
-    /// `None` means this task itself got cancelled while waiting.
-    fn join<O: BoxOracle + ?Sized>(
+    /// Join a donated frame: run other tasks while the thief finishes,
+    /// then merge its insert log. Returns the thief's witness; `None`
+    /// means this task itself got cancelled while waiting.
+    pub(crate) fn join(
         &mut self,
-        ctx: &ParCtx<'_, O>,
-        worker: &Worker<'_, Task>,
-        cell: Option<&DonationCell>,
-        dcell: &Arc<DonationCell>,
-    ) -> Option<Outcome> {
-        worker.help_while(|| !dcell.done.load(Ordering::Acquire) && !stopping(ctx, cell));
-        if !dcell.done.load(Ordering::Acquire) {
+        hand: &WorkerHandle<'_, '_>,
+        cell: &DonationCell,
+        target: &DyadicBox,
+    ) -> Option<DyadicBox> {
+        hand.worker
+            .help_while(|| !cell.done.load(Ordering::Acquire) && !hand.stopping());
+        if !cell.done.load(Ordering::Acquire) {
             // We stopped waiting because the run is unwinding; release
             // the thief too.
-            dcell.cancel.store(true, Ordering::Relaxed);
+            cell.cancel();
             return None;
         }
-        let outcome = dcell
+        let outcome = cell
             .outcome
             .lock()
             .expect("outcome lock poisoned")
             .take()
             .expect("done implies outcome");
-        if outcome.cancelled {
-            // Only happens when the whole run is stopping; the shard is
-            // still good scratch.
-            ctx.retire_shard(worker.index(), outcome.shard);
-            return None;
+        // A cancelled thief (the whole run is stopping) returns no
+        // witness; its shard is still good scratch.
+        if outcome.witness.is_some() {
+            self.merge_returned(target, outcome.inserts);
         }
-        Some(outcome)
+        hand.retire(outcome.shard);
+        outcome.witness
+    }
+
+    /// Merge a finished thief's insert log into this shard — resolvents
+    /// and loads that escape the thief's target can answer the donor's
+    /// future probes.
+    fn merge_returned(&mut self, target: &DyadicBox, inserts: Vec<DyadicBox>) {
+        for b in inserts {
+            // Merge-on-return copies are real store inserts (they count
+            // toward `kb_inserts`) but not re-derivations, so a
+            // duplicate here is *not* a re-resolution. A novel copy
+            // propagates further up the donation chain if it also
+            // escapes *our* target.
+            if self.insert(&b) && !target.contains(&b) {
+                self.remember(&b);
+            }
+        }
     }
 
     /// Tear down early: propagate cancellation to every pending thief.
-    fn unwind_cancelled(&mut self, target: DyadicBox) -> DyadicBox {
-        // A cancelled task probes nothing further and its witness is
-        // never read, so the in-flight resolvent can simply be dropped.
+    /// A cancelled task probes nothing further and its witness is never
+    /// read, so the in-flight resolvent is simply dropped.
+    pub(crate) fn cancel(&mut self) -> Option<DyadicBox> {
         self.pending = None;
-        for pf in &self.stack {
-            if let Some(cell) = &pf.donated {
-                cell.cancel.store(true, Ordering::Relaxed);
+        for f in &self.stack {
+            if let Some(cell) = &f.donated {
+                cell.cancel();
             }
         }
-        self.cancelled = true;
-        target
+        None
     }
-}
-
-fn stopping<O: BoxOracle + ?Sized>(ctx: &ParCtx<'_, O>, cell: Option<&DonationCell>) -> bool {
-    ctx.stop.load(Ordering::Relaxed) || cell.is_some_and(|c| c.cancel.load(Ordering::Relaxed))
 }

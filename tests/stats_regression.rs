@@ -61,10 +61,6 @@ fn tuning_defaults_are_pinned() {
     assert_eq!(boxstore::DEFAULT_INSERT_RING, 256);
     assert_eq!(boxstore::REPAIR_CAP, 64);
     assert_eq!(tetris_core::DEFAULT_MERGE_CAP, 4096);
-    assert_eq!(
-        boxstore::StoreTuning::default().insert_ring,
-        boxstore::DEFAULT_INSERT_RING
-    );
 }
 
 fn example_4_4() -> SetOracle {

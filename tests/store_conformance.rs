@@ -1,6 +1,5 @@
-//! Randomized store-conformance wall: the knowledge base ([`BoxTree`])
-//! under every insert-ring tuning, driven through random interleavings of
-//! inserts, untracked probes, engine-shaped tracked probe chains,
+//! Randomized store-conformance wall: the knowledge base ([`BoxTree`]),
+//! driven through random interleavings of inserts, untracked probes, engine-shaped tracked probe chains,
 //! clears, and shard extractions — each observable answer checked
 //! against a naive reference store.
 //!
@@ -18,17 +17,12 @@
 //! * **Exact shards** — `extract_intersecting_into` must produce
 //!   exactly the stored boxes intersecting the target.
 //!
-//! Every assertion message carries the `(seed, ring, step)` tuple, so a
-//! failure is reproducible with a one-line filter.
+//! Every assertion message carries the `(seed, step)` pair, so a failure
+//! is reproducible with a one-line filter.
 
-use boxstore::{BoxTree, DescentProbe, StoreTuning, REPAIR_CAP};
+use boxstore::{BoxTree, DescentProbe, DEFAULT_INSERT_RING};
 use dyadic::{DyadicBox, DyadicInterval, MAX_DIMS};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// The knob grid: the minimum legal ring (repair windows are never
-/// overwritten at exactly `REPAIR_CAP`), the default, and an oversized
-/// ring. Conformance must be tuning-independent.
-const RINGS: [usize; 3] = [REPAIR_CAP as usize, 256, 1024];
 
 const SEEDS_PER_CONFIG: u64 = 12;
 const STEPS_PER_SEED: usize = 300;
@@ -102,22 +96,21 @@ fn sorted_boxes(s: &BoxTree) -> Vec<DyadicBox> {
     out
 }
 
-/// One random op sequence against one `(tuning, seed)` config.
-fn conformance_run(tuning: StoreTuning, seed: u64) {
-    let ring = tuning.insert_ring;
+/// One random op sequence against one seed.
+fn conformance_run(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Every dimension count: n = 1 runs the last-level arena alone, n =
     // MAX_DIMS runs long chains of inner levels.
     let n = rng.gen_range(1..=MAX_DIMS);
     let width = rng.gen_range(2..=5) as u8;
-    let mut store = BoxTree::with_tuning(n, tuning);
+    let mut store = BoxTree::new(n);
     let mut naive = NaiveStore::default();
     // One long-lived probe state: clears and unrelated-target probes in
     // between must be survivable (the store detects staleness itself).
     let mut probe = DescentProbe::new();
 
     for step in 0..STEPS_PER_SEED {
-        let ctx = || format!("seed={seed} ring={ring} step={step} n={n} width={width}");
+        let ctx = || format!("seed={seed} step={step} n={n} width={width}");
         match rng.gen_range(0..20) {
             // Inserts dominate so repair windows stay busy.
             0..=8 => {
@@ -167,7 +160,7 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
             }
             17 => {
                 let target = random_box(&mut rng, n, width);
-                let mut shard = BoxTree::with_tuning(n, tuning);
+                let mut shard = BoxTree::new(n);
                 store.extract_intersecting_into(&target, &mut shard);
                 assert_eq!(
                     sorted_boxes(&shard),
@@ -195,13 +188,13 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
     assert_eq!(
         sorted_boxes(&store),
         naive.sorted(),
-        "seed={seed} ring={ring}: final stored set"
+        "seed={seed}: final stored set"
     );
     // The chains above must actually exercise the incremental paths,
     // otherwise this wall silently stops guarding them.
     assert!(
         probe.advances + probe.repairs + probe.full_walks > 0,
-        "seed={seed} ring={ring}: no tracked probes fired"
+        "seed={seed}: no tracked probes fired"
     );
 }
 
@@ -210,10 +203,10 @@ fn conformance_run(tuning: StoreTuning, seed: u64) {
 /// mid-block with a live tracked frontier, then keep probing — the
 /// stale frontier must be detected via the clear stamp and every answer
 /// must still match the reference.
-fn clear_at_wrap_run(tuning: StoreTuning) {
+fn clear_at_wrap_run() {
     let n = 2;
-    let ring = tuning.insert_ring;
-    let mut store = BoxTree::with_tuning(n, tuning);
+    let ring = DEFAULT_INSERT_RING;
+    let mut store = BoxTree::new(n);
     let mut naive = NaiveStore::default();
     let mut probe = DescentProbe::new();
 
@@ -282,18 +275,12 @@ fn clear_at_wrap_run(tuning: StoreTuning) {
 
 #[test]
 fn box_tree_conforms() {
-    for &ring in &RINGS {
-        for seed in 0..SEEDS_PER_CONFIG {
-            conformance_run(StoreTuning { insert_ring: ring }, seed);
-        }
+    for seed in 0..SEEDS_PER_CONFIG {
+        conformance_run(seed);
     }
 }
 
 #[test]
 fn clear_at_wrap_box_tree() {
-    // The minimum legal ring forces the tightest wrap; the default ring
-    // exercises a mid-ring clear.
-    for &ring in &[REPAIR_CAP as usize, 256] {
-        clear_at_wrap_run(StoreTuning { insert_ring: ring });
-    }
+    clear_at_wrap_run();
 }
